@@ -1,14 +1,24 @@
 // E14: sustained update-stream maintenance. Streams mixed add/delete
 // batches into a materialized IDB from 1/4/16 concurrent sessions —
-// writes serialized exactly like the server's writer path, each batch
-// followed by an epoch-style snapshot publish and a point query against
-// the pinned snapshot — and reports fact-level updates/sec plus batch
-// and query latency percentiles. Two legs per configuration:
+// writes serialized exactly like the server's writer path — and
+// reports fact-level updates/sec plus batch latency percentiles. Three
+// legs:
 //   - BM_Updates_Incremental: counting/DRed maintenance through
 //     IncrementalEvaluator::ApplyUpdates — cost O(|Δ| affected), the
 //     tentpole claim of DESIGN §16.
 //   - BM_Updates_Recompute: the pre-IVM behaviour — every batch mutates
 //     the EDB and re-runs the full fixpoint.
+//   - BM_Updates_Published: the same incremental batches end to end the
+//     way the server runs them — MaterializedView::Apply inside a
+//     SnapshotStore::ApplyDelta write, publishing each batch's net delta
+//     as a new generation — while one reader loop keeps pinning the
+//     head. Its batch latency next to the Incremental leg's is the cost
+//     of publishing; `clones_per_batch` (relations deep-copied per
+//     write) should stay ~0 and `reused_per_batch` count the kept
+//     copies the store recycled instead; `query_p50_us` times the
+//     reader's pin-and-probe.
+// The first two legs publish nothing, so their batch time is pure
+// maintenance.
 // The acceptance bar (EXPERIMENTS.md E14): incremental ≥10× recompute
 // at the 1M-fact configuration, and `steady_plan_misses` = 0 — after
 // warm-up every maintenance join replays a memoized plan.
@@ -27,9 +37,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -41,6 +53,7 @@
 #include "io/binary_io.h"
 #include "server/materialized_view.h"
 #include "storage/database.h"
+#include "storage/snapshot.h"
 #include "util/hash_util.h"
 #include "workload/update_stream.h"
 
@@ -73,8 +86,10 @@ UpdateStreamParams ParamsFor(int64_t facts) {
 /// Generator → binary snapshot → bulk loader (the columnar path).
 Database LoadBaseEdb(::benchmark::State& state,
                      const UpdateStreamParams& params) {
-  const std::string path = "/tmp/semopt_bench_e14_" +
-                           std::to_string(::getpid()) + ".bin";
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("semopt_bench_e14_" + std::to_string(::getpid()) + ".bin"))
+          .string();
   Database base;
   Result<size_t> written = WriteUpdateStreamSnapshot(path, params);
   if (!written.ok()) {
@@ -121,39 +136,11 @@ class SessionChurn {
   std::deque<std::vector<Atom>> pending_;
 };
 
-/// Shared write/publish state: one writer lock (the server's
-/// writer_mu_ discipline) and the latest published snapshot, whose
-/// relations are shared copy-on-write with the maintained IDB.
-struct Published {
-  std::mutex writer_mu;
-  std::mutex snap_mu;
-  std::shared_ptr<const Database> snapshot;
-
-  void Publish(const Database& idb) {
-    auto snap = std::make_shared<Database>();
-    snap->MergeSharedFrom(idb);
-    std::lock_guard<std::mutex> lock(snap_mu);
-    snapshot = std::move(snap);
-  }
-  std::shared_ptr<const Database> Pin() {
-    std::lock_guard<std::mutex> lock(snap_mu);
-    return snapshot;
-  }
-};
-
-/// The interleaved query: pin the current snapshot and probe the
-/// recursive predicate, like a reader session between two writes.
-uint64_t QueryOnce(Published& pub, const PredicateId& reach,
-                   bench::LatencyRecorder* lat) {
-  const auto t0 = std::chrono::steady_clock::now();
-  std::shared_ptr<const Database> snap = pub.Pin();
-  const Relation* rel = snap->Find(reach);
-  uint64_t rows = rel != nullptr ? rel->size() : 0;
-  lat->Observe(static_cast<uint64_t>(
+uint64_t ElapsedUs(std::chrono::steady_clock::time_point t0) {
+  return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - t0)
-          .count()));
-  return rows;
+          .count());
 }
 
 void RunUpdateBench(::benchmark::State& state, bool incremental) {
@@ -171,7 +158,6 @@ void RunUpdateBench(::benchmark::State& state, bool incremental) {
   const size_t base_facts = base.TotalTuples();
 
   EvalOptions options;
-  const PredicateId reach{InternSymbol("reach"), 1};
 
   // Initial materialization (untimed) — both legs start from the same
   // fixpoint over the bulk-loaded base.
@@ -196,11 +182,12 @@ void RunUpdateBench(::benchmark::State& state, bool incremental) {
     idb = std::move(*full);
   }
 
-  bench::LatencyRecorder batch_lat, query_lat;
+  bench::LatencyRecorder batch_lat;
   EvalStats steady_stats;
   IvmStats steady_ivm;
   size_t fact_updates = 0;
-  std::atomic<uint64_t> query_rows{0};
+  // The server's writer_mu_ discipline: sessions' writes serialize.
+  std::mutex writer_mu;
 
   // Churn generators persist across warm-up and measured phases so the
   // delete-what-you-added pipeline (and the plan cache it shapes) is
@@ -209,9 +196,6 @@ void RunUpdateBench(::benchmark::State& state, bool incremental) {
   for (int s = 0; s < sessions; ++s) churns.emplace_back(params, s);
 
   for (auto _ : state) {
-    Published pub;
-    pub.Publish(incremental ? inc->idb() : idb);
-
     // One session body; `measured` selects warm-up vs timed counters.
     auto run_sessions = [&](int batches, bool measured) {
       std::atomic<bool> failed{false};
@@ -224,7 +208,7 @@ void RunUpdateBench(::benchmark::State& state, bool incremental) {
             churn.NextBatch(&adds, &dels);
             const auto t0 = std::chrono::steady_clock::now();
             {
-              std::lock_guard<std::mutex> lock(pub.writer_mu);
+              std::lock_guard<std::mutex> lock(writer_mu);
               if (incremental) {
                 Result<IvmStats> applied = inc->ApplyUpdates(
                     adds, dels, measured ? &steady_stats : nullptr);
@@ -233,12 +217,13 @@ void RunUpdateBench(::benchmark::State& state, bool incremental) {
                   break;
                 }
                 if (measured) steady_ivm.Add(*applied);
-                pub.Publish(inc->idb());
               } else {
-                if (!ApplyEdbBatch(&edb, adds, dels).ok()) {
+                Result<DatabaseDelta> delta = EdbBatchDelta(edb, adds, dels);
+                if (!delta.ok()) {
                   failed.store(true);
                   break;
                 }
+                edb.ApplyDelta(*delta);
                 Result<Database> full =
                     Evaluate(*program, edb, options, nullptr);
                 if (!full.ok()) {
@@ -246,17 +231,9 @@ void RunUpdateBench(::benchmark::State& state, bool incremental) {
                   break;
                 }
                 idb = std::move(*full);
-                pub.Publish(idb);
               }
             }
-            if (measured) {
-              batch_lat.Observe(static_cast<uint64_t>(
-                  std::chrono::duration_cast<std::chrono::microseconds>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count()));
-            }
-            query_rows.fetch_add(QueryOnce(pub, reach, &query_lat),
-                                 std::memory_order_relaxed);
+            if (measured) batch_lat.Observe(ElapsedUs(t0));
           }
         });
       }
@@ -291,10 +268,6 @@ void RunUpdateBench(::benchmark::State& state, bool incremental) {
       static_cast<double>(batch_lat.PercentileUs(0.50));
   state.counters["batch_p99_us"] =
       static_cast<double>(batch_lat.PercentileUs(0.99));
-  state.counters["query_p50_us"] =
-      static_cast<double>(query_lat.PercentileUs(0.50));
-  state.counters["query_p99_us"] =
-      static_cast<double>(query_lat.PercentileUs(0.99));
   if (incremental) {
     // The acceptance gate: after warm-up, maintenance joins replay
     // memoized plans — zero planning in steady state.
@@ -314,7 +287,154 @@ void RunUpdateBench(::benchmark::State& state, bool incremental) {
     state.counters["net_inserted"] =
         static_cast<double>(steady_ivm.net_inserted);
   }
-  (void)query_rows;
+}
+
+/// The published leg: `sessions` writer threads stream batches through
+/// MaterializedView::Apply inside SnapshotStore::ApplyDelta (the
+/// server's write path), while one reader thread loops pinning the head
+/// and probing the maintained relations.
+void BM_Updates_Published(::benchmark::State& state) {
+  const UpdateStreamParams params = ParamsFor(state.range(0));
+  const int sessions = static_cast<int>(state.range(1));
+  constexpr int kBatchesPerSession = 20;
+
+  Result<Program> program = UpdateStreamProgram();
+  if (!program.ok()) {
+    state.SkipWithError(program.status().ToString().c_str());
+    return;
+  }
+  Database base = LoadBaseEdb(state, params);
+  if (base.TotalTuples() == 0) return;
+  const size_t base_facts = base.TotalTuples();
+
+  // Initial materialization (untimed), published the way `.materialize`
+  // does it: one bulk write that copies the view's IDB into the head.
+  Result<std::unique_ptr<MaterializedView>> view = MaterializedView::Create(
+      *program, base, EvalOptions(), MaterializedView::Mode::kIncremental);
+  if (!view.ok()) {
+    state.SkipWithError(view.status().ToString().c_str());
+    return;
+  }
+  SnapshotStore store(std::move(base));
+  if (!store.Mutate([&](Database* db) {
+             db->CopyRelationsFrom((*view)->idb());
+             return Status::Ok();
+           }).ok()) {
+    state.SkipWithError("initial publish failed");
+    return;
+  }
+
+  const PredicateId reach{InternSymbol("reach"), 1};
+  const PredicateId dark{InternSymbol("dark"), 1};
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::Counter& cloned =
+      registry.GetCounter("storage.snapshot.relations_cloned");
+  obs::Counter& reused =
+      registry.GetCounter("storage.snapshot.relations_reused");
+  obs::Counter& replayed = registry.GetCounter("storage.snapshot.rows_replayed");
+
+  bench::LatencyRecorder batch_lat, query_lat;
+  IvmStats steady_ivm;
+  size_t fact_updates = 0;
+  uint64_t cloned_delta = 0, reused_delta = 0, replayed_delta = 0;
+  std::vector<SessionChurn> churns;
+  for (int s = 0; s < sessions; ++s) churns.emplace_back(params, s);
+
+  for (auto _ : state) {
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> hits{0};
+    // The reader: pin, probe both maintained relations at a random
+    // node, release — a point-lookup session between writes.
+    std::thread reader([&] {
+      SplitMix64 rng(params.seed);
+      while (!stop.load(std::memory_order_relaxed)) {
+        const auto t0 = std::chrono::steady_clock::now();
+        DatabaseSnapshot snap = store.Pin();
+        const Tuple node{
+            Term::Int(static_cast<int64_t>(rng.Below(params.num_nodes)))};
+        for (const PredicateId& pred : {reach, dark}) {
+          const Relation* rel = snap.db().Find(pred);
+          if (rel != nullptr && rel->Contains(node)) hits.fetch_add(1);
+        }
+        snap = DatabaseSnapshot();
+        query_lat.Observe(ElapsedUs(t0));
+      }
+    });
+
+    auto run_sessions = [&](int batches, bool measured) {
+      std::atomic<bool> failed{false};
+      std::vector<std::thread> threads;
+      for (int s = 0; s < sessions; ++s) {
+        threads.emplace_back([&, s] {
+          std::vector<Atom> adds, dels;
+          for (int b = 0; b < batches && !failed.load(); ++b) {
+            churns[s].NextBatch(&adds, &dels);
+            const auto t0 = std::chrono::steady_clock::now();
+            Result<uint64_t> epoch = store.ApplyDelta(
+                [&](const Database&) -> Result<DatabaseDelta> {
+                  DatabaseDelta delta;
+                  SEMOPT_ASSIGN_OR_RETURN(IvmStats applied,
+                                          (*view)->Apply(adds, dels, &delta));
+                  // Runs under the store's writer lock: serialized.
+                  if (measured) steady_ivm.Add(applied);
+                  return delta;
+                });
+            if (!epoch.ok()) {
+              failed.store(true);
+              break;
+            }
+            if (measured) batch_lat.Observe(ElapsedUs(t0));
+          }
+        });
+      }
+      for (std::thread& t : threads) t.join();
+      return !failed.load();
+    };
+
+    bool ok = run_sessions(kWarmupBatches, /*measured=*/false);
+    const uint64_t cloned_before = cloned.value();
+    const uint64_t reused_before = reused.value();
+    const uint64_t replayed_before = replayed.value();
+    const auto start = std::chrono::steady_clock::now();
+    ok = ok && run_sessions(kBatchesPerSession, /*measured=*/true);
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    stop.store(true);
+    reader.join();
+    if (!ok) {
+      state.SkipWithError("update batch failed");
+      break;
+    }
+    cloned_delta += cloned.value() - cloned_before;
+    reused_delta += reused.value() - reused_before;
+    replayed_delta += replayed.value() - replayed_before;
+    state.SetIterationTime(seconds);
+    fact_updates += static_cast<size_t>(sessions) * kBatchesPerSession *
+                    (kAddsPerBatch + kDelsPerBatch);
+    ::benchmark::DoNotOptimize(hits.load());
+  }
+
+  const double batches = std::max<double>(1.0, steady_ivm.batches);
+  state.SetItemsProcessed(static_cast<int64_t>(fact_updates));
+  state.counters["sessions"] = sessions;
+  state.counters["base_facts"] = static_cast<double>(base_facts);
+  state.counters["batch_p50_us"] =
+      static_cast<double>(batch_lat.PercentileUs(0.50));
+  state.counters["batch_p99_us"] =
+      static_cast<double>(batch_lat.PercentileUs(0.99));
+  state.counters["query_p50_us"] =
+      static_cast<double>(query_lat.PercentileUs(0.50));
+  state.counters["query_p99_us"] =
+      static_cast<double>(query_lat.PercentileUs(0.99));
+  state.counters["maint_us_per_batch"] =
+      static_cast<double>(steady_ivm.maintenance_us) / batches;
+  state.counters["clones_per_batch"] =
+      static_cast<double>(cloned_delta) / batches;
+  state.counters["reused_per_batch"] =
+      static_cast<double>(reused_delta) / batches;
+  state.counters["rows_replayed_per_batch"] =
+      static_cast<double>(replayed_delta) / batches;
 }
 
 void BM_Updates_Incremental(::benchmark::State& state) {
@@ -337,6 +457,16 @@ BENCHMARK(BM_Updates_Incremental)
     ->Args({1000000, 1})
     ->Args({1000000, 4})
     ->Args({1000000, 16})
+    ->UseManualTime()
+    ->Unit(::benchmark::kMillisecond)
+    ->Iterations(1);
+
+// The published leg at the same 1-session configurations as the
+// IVM-only rows above, plus 4 writer sessions at 1M facts.
+BENCHMARK(BM_Updates_Published)
+    ->Args({100000, 1})
+    ->Args({1000000, 1})
+    ->Args({1000000, 4})
     ->UseManualTime()
     ->Unit(::benchmark::kMillisecond)
     ->Iterations(1);

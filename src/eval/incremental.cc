@@ -236,6 +236,9 @@ Result<IncrementalEvaluator> IncrementalEvaluator::Create(
   out.options_ = options;
   out.idb_preds_ = program.IdbPredicates();
   out.edb_ = std::move(edb);
+  for (const PredicateId& pred : out.edb_.Predicates()) {
+    if (out.edb_.Shared(pred)) out.borrowed_.insert(pred);
+  }
   // Base fixpoint through the standard engine (the one place the
   // parallel evaluator applies; maintenance runs on the caller thread).
   SEMOPT_ASSIGN_OR_RETURN(out.idb_, Evaluate(out.program_, out.edb_, options));
@@ -412,7 +415,7 @@ Status IncrementalEvaluator::InitCounts(Stratum& stratum, EvalStats* stats) {
 
 Result<IvmStats> IncrementalEvaluator::ApplyUpdates(
     const std::vector<Atom>& adds, const std::vector<Atom>& dels,
-    EvalStats* stats) {
+    EvalStats* stats, DatabaseDelta* delta) {
   const uint64_t start_us = NowUs();
   IvmStats batch;
   batch.batches = 1;
@@ -420,9 +423,22 @@ Result<IvmStats> IncrementalEvaluator::ApplyUpdates(
   // Stage the batch against the EDB: deletions first, then insertions,
   // with set semantics on both sides. `dminus`/`dplus` accumulate the
   // per-predicate net deltas — EDB changes now, each stratum's IDB
-  // changes as the batch climbs.
+  // changes as the batch climbs. Every fact is validated before the
+  // EDB changes, so a rejected batch leaves the evaluator untouched.
   DeltaMap dminus;
   DeltaMap dplus;
+  std::vector<Tuple> add_tuples;
+  add_tuples.reserve(adds.size());
+  for (const Atom& fact : adds) {
+    if (idb_preds_.count(fact.pred_id()) > 0) {
+      return Status::InvalidArgument(
+          StrCat("cannot insert into IDB predicate ",
+                 fact.pred_id().ToString(),
+                 ": derived tuples change only through their rules"));
+    }
+    SEMOPT_ASSIGN_OR_RETURN(Tuple tuple, FactTuple(fact));
+    add_tuples.push_back(std::move(tuple));
+  }
   for (const Atom& fact : dels) {
     const PredicateId pred = fact.pred_id();
     if (idb_preds_.count(pred) > 0) {
@@ -435,21 +451,21 @@ Result<IvmStats> IncrementalEvaluator::ApplyUpdates(
     if (rel == nullptr || !rel->Contains(tuple)) continue;
     DeltaFor(&dminus, pred)->Insert(tuple);
   }
+  // A relation borrowed from the caller's database is copied before its
+  // first write; everything else is ours to write in place.
+  auto writable = [this](const PredicateId& pred) -> Relation& {
+    if (borrowed_.erase(pred) > 0) return edb_.Unshare(pred);
+    return edb_.GetOrCreate(pred);
+  };
   for (auto& [pred, rel] : dminus) {
     TupleBuffer victims(rel->arity());
     BufferRows(*rel, &victims);
-    batch.edb_deleted += edb_.GetOrCreate(pred).Erase(victims);
+    batch.edb_deleted += writable(pred).Erase(victims);
   }
-  for (const Atom& fact : adds) {
-    const PredicateId pred = fact.pred_id();
-    if (idb_preds_.count(pred) > 0) {
-      return Status::InvalidArgument(
-          StrCat("cannot insert into IDB predicate ", pred.ToString(),
-                 ": derived tuples change only through their rules"));
-    }
-    SEMOPT_ASSIGN_OR_RETURN(Tuple tuple, FactTuple(fact));
-    if (edb_.GetOrCreate(pred).Insert(tuple)) {
-      DeltaFor(&dplus, pred)->Insert(tuple);
+  for (size_t i = 0; i < adds.size(); ++i) {
+    const PredicateId pred = adds[i].pred_id();
+    if (writable(pred).Insert(add_tuples[i])) {
+      DeltaFor(&dplus, pred)->Insert(add_tuples[i]);
       ++batch.edb_inserted;
     }
   }
@@ -477,6 +493,21 @@ Result<IvmStats> IncrementalEvaluator::ApplyUpdates(
       SEMOPT_RETURN_IF_ERROR(
           MaintainStratum(s, &dminus, &dplus, &batch, stats));
     }
+  }
+
+  if (delta != nullptr) {
+    // The batch's settled net change, EDB and IDB alike: exactly the
+    // rows a published copy of both must erase and insert.
+    delta->clear();
+    auto hand_back = [delta](const DeltaMap& side, bool inserted) {
+      for (const auto& [pred, rel] : side) {
+        if (rel->empty()) continue;
+        RelationDelta& d = delta->try_emplace(pred, pred.arity).first->second;
+        BufferRows(*rel, inserted ? &d.inserted : &d.erased);
+      }
+    };
+    hand_back(dminus, /*inserted=*/false);
+    hand_back(dplus, /*inserted=*/true);
   }
 
   batch.maintenance_us = NowUs() - start_us;

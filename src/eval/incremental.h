@@ -85,6 +85,11 @@ struct IvmStats {
 /// steady-state batches skip planning entirely.
 class IncrementalEvaluator {
  public:
+  /// `edb` may share relations with other databases (CloneShared): the
+  /// evaluator only reads those, and deep-copies one before its first
+  /// write to it, so an EDB relation no batch ever changes is never
+  /// copied at all.
+  ///
   /// Materializes the initial fixpoint (through the standard Evaluate
   /// engine, so `options.num_threads` etc. apply) and compiles the
   /// maintenance rule sets. Programs with stratified negation are
@@ -106,13 +111,18 @@ class IncrementalEvaluator {
   /// the consequences so that afterwards `idb()` equals the from-scratch
   /// fixpoint over the new `edb()` exactly. Duplicate facts within a
   /// batch, deletions of absent tuples and insertions of present ones
-  /// are no-ops. Facts over IDB predicates are rejected (derived
-  /// relations change only through their rules). Returns the batch's
-  /// IvmStats; `stats` (optional) additionally accumulates the join
-  /// work of the maintenance rule executions.
+  /// are no-ops. Facts over IDB predicates (and non-ground facts) are
+  /// rejected before anything changes (derived relations change only
+  /// through their rules). Returns the batch's IvmStats; `stats`
+  /// (optional) additionally accumulates the join work of the
+  /// maintenance rule executions, and `delta` (optional) receives the
+  /// batch's net change per predicate — EDB and IDB, erased and
+  /// inserted rows — which is O(|Δ|) to hand back and exactly what a
+  /// published copy of edb() + idb() needs to catch up.
   Result<IvmStats> ApplyUpdates(const std::vector<Atom>& adds,
                                 const std::vector<Atom>& dels,
-                                EvalStats* stats = nullptr);
+                                EvalStats* stats = nullptr,
+                                DatabaseDelta* delta = nullptr);
 
   /// Insertion-only convenience (the legacy surface): equivalent to
   /// `ApplyUpdates(facts, {})`. Returns the number of IDB tuples newly
@@ -219,6 +229,10 @@ class IncrementalEvaluator {
 
   Program program_;
   Database edb_;
+  /// EDB relations `edb_` shares with the caller's database (e.g. the
+  /// published generation a view was created from): read in place, and
+  /// copied before the first write to them.
+  std::set<PredicateId> borrowed_;
   Database idb_;
   std::set<PredicateId> idb_preds_;
   std::vector<Stratum> strata_;

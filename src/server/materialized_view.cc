@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <map>
+#include <set>
 #include <utility>
 
 #include "util/string_util.h"
@@ -32,23 +33,60 @@ Result<Tuple> GroundTuple(const Atom& fact) {
 
 }  // namespace
 
-Status ApplyEdbBatch(Database* db, const std::vector<Atom>& adds,
-                     const std::vector<Atom>& dels) {
-  // Deletions first, grouped per predicate into one Erase pass each.
-  std::map<PredicateId, TupleBuffer> victims;
+Result<DatabaseDelta> EdbBatchDelta(const Database& base,
+                                    const std::vector<Atom>& adds,
+                                    const std::vector<Atom>& dels) {
+  // Set semantics per predicate: `gone` holds present tuples being
+  // deleted, `fresh` absent tuples being added, and `back` deleted
+  // tuples re-added in the same batch — they end where they started.
+  std::map<PredicateId, Relation> gone, fresh, back;
+  auto side = [](std::map<PredicateId, Relation>* map,
+                 const PredicateId& pred) -> Relation& {
+    return map->try_emplace(pred, pred).first->second;
+  };
   for (const Atom& fact : dels) {
     SEMOPT_ASSIGN_OR_RETURN(Tuple tuple, GroundTuple(fact));
-    auto [it, inserted] = victims.try_emplace(
-        fact.pred_id(), static_cast<uint32_t>(tuple.size()));
-    it->second.Append(tuple);
-  }
-  for (auto& [pred, buf] : victims) {
-    if (Relation* rel = db->FindMutable(pred)) rel->Erase(buf);
+    const Relation* rel = base.Find(fact.pred_id());
+    if (rel != nullptr && rel->Contains(tuple)) {
+      side(&gone, fact.pred_id()).Insert(tuple);
+    }
   }
   for (const Atom& fact : adds) {
-    SEMOPT_RETURN_IF_ERROR(db->AddFact(fact));
+    SEMOPT_ASSIGN_OR_RETURN(Tuple tuple, GroundTuple(fact));
+    auto it = gone.find(fact.pred_id());
+    if (it != gone.end() && it->second.Contains(tuple)) {
+      side(&back, fact.pred_id()).Insert(tuple);
+      continue;
+    }
+    const Relation* rel = base.Find(fact.pred_id());
+    if (rel == nullptr || !rel->Contains(tuple)) {
+      side(&fresh, fact.pred_id()).Insert(tuple);
+    }
   }
-  return Status::Ok();
+  DatabaseDelta delta;
+  for (auto& [pred, rel] : gone) {
+    auto it = back.find(pred);
+    for (RowRef row : rel.rows()) {
+      if (it != back.end() && it->second.Contains(row)) continue;
+      delta.try_emplace(pred, pred.arity).first->second.erased.Append(row);
+    }
+  }
+  for (const auto& [pred, rel] : fresh) {
+    for (RowRef row : rel.rows()) {
+      delta.try_emplace(pred, pred.arity).first->second.inserted.Append(row);
+    }
+  }
+  return delta;
+}
+
+void CountDelta(const DatabaseDelta& delta, size_t* erased,
+                size_t* inserted) {
+  *erased = 0;
+  *inserted = 0;
+  for (const auto& [pred, change] : delta) {
+    *erased += change.erased.size();
+    *inserted += change.inserted.size();
+  }
 }
 
 Result<std::unique_ptr<MaterializedView>> MaterializedView::Create(
@@ -59,7 +97,7 @@ Result<std::unique_ptr<MaterializedView>> MaterializedView::Create(
   if (mode == Mode::kIncremental) {
     SEMOPT_ASSIGN_OR_RETURN(
         IncrementalEvaluator inc,
-        IncrementalEvaluator::Create(program, base.Clone(), options));
+        IncrementalEvaluator::Create(program, base.CloneShared(), options));
     view->inc_ = std::make_unique<IncrementalEvaluator>(std::move(inc));
   } else {
     view->edb_ = base.Clone();
@@ -71,41 +109,60 @@ Result<std::unique_ptr<MaterializedView>> MaterializedView::Create(
 
 Result<IvmStats> MaterializedView::Apply(const std::vector<Atom>& adds,
                                          const std::vector<Atom>& dels,
-                                         Database* db) {
-  IvmStats batch;
+                                         DatabaseDelta* delta) {
   if (mode_ == Mode::kIncremental) {
-    SEMOPT_ASSIGN_OR_RETURN(batch, inc_->ApplyUpdates(adds, dels));
-  } else {
-    // Recompute baseline: mutate our EDB copy, then pay the full
-    // fixpoint. Only the EDB and wall-time counters are meaningful —
-    // a recomputation has no notion of per-tuple deltas.
-    const uint64_t start_us = NowUs();
-    const size_t before = edb_.TotalTuples();
-    SEMOPT_RETURN_IF_ERROR(ApplyEdbBatch(&edb_, adds, dels));
-    SEMOPT_ASSIGN_OR_RETURN(idb_, Evaluate(program_, edb_, options_));
-    batch.batches = 1;
-    const size_t after = edb_.TotalTuples();
-    batch.edb_inserted = after > before ? after - before : 0;
-    batch.edb_deleted = before > after ? before - after : 0;
-    batch.maintenance_us = NowUs() - start_us;
-    // Deliberately not published to eval.ivm.*: those counters mean
-    // "incremental maintenance ran"; a recompute leg reports only
-    // through its own wall time.
-    totals_.Add(batch);
+    SEMOPT_ASSIGN_OR_RETURN(IvmStats batch,
+                            inc_->ApplyUpdates(adds, dels, nullptr, delta));
+    totals_ = inc_->totals();
+    return batch;
   }
-  SEMOPT_RETURN_IF_ERROR(ApplyEdbBatch(db, adds, dels));
-  PublishInto(db);
-  if (mode_ == Mode::kIncremental) totals_ = inc_->totals();
+  // Recompute baseline: mutate our EDB copy, then pay the full
+  // fixpoint and diff it against the previous one. Only the EDB and
+  // wall-time counters are meaningful — a recomputation has no notion
+  // of per-tuple maintenance work.
+  const uint64_t start_us = NowUs();
+  const std::set<PredicateId> idb_preds = program_.IdbPredicates();
+  for (const std::vector<Atom>* facts : {&adds, &dels}) {
+    for (const Atom& fact : *facts) {
+      if (idb_preds.count(fact.pred_id()) > 0) {
+        return Status::InvalidArgument(
+            StrCat("cannot write IDB predicate ", fact.pred_id().ToString(),
+                   ": derived tuples change only through their rules"));
+      }
+    }
+  }
+  IvmStats batch;
+  batch.batches = 1;
+  SEMOPT_ASSIGN_OR_RETURN(*delta, EdbBatchDelta(edb_, adds, dels));
+  CountDelta(*delta, &batch.edb_deleted, &batch.edb_inserted);
+  edb_.ApplyDelta(*delta);
+  SEMOPT_ASSIGN_OR_RETURN(Database idb, Evaluate(program_, edb_, options_));
+  auto diff = [delta](const Relation* from, const Relation* to,
+                      const PredicateId& pred, bool inserted) {
+    if (from == nullptr) return;
+    for (RowRef row : from->rows()) {
+      if (to != nullptr && to->Contains(row)) continue;
+      RelationDelta& d = delta->try_emplace(pred, pred.arity).first->second;
+      (inserted ? d.inserted : d.erased).Append(row);
+    }
+  };
+  for (const PredicateId& pred : idb_.Predicates()) {
+    diff(idb_.Find(pred), idb.Find(pred), pred, /*inserted=*/false);
+  }
+  for (const PredicateId& pred : idb.Predicates()) {
+    diff(idb.Find(pred), idb_.Find(pred), pred, /*inserted=*/true);
+  }
+  idb_ = std::move(idb);
+  batch.maintenance_us = NowUs() - start_us;
+  // Deliberately not published to eval.ivm.*: those counters mean
+  // "incremental maintenance ran"; a recompute leg reports only
+  // through its own wall time.
+  totals_.Add(batch);
   return batch;
 }
 
-void MaterializedView::PublishInto(Database* db) const {
-  db->MergeSharedFrom(mode_ == Mode::kIncremental ? inc_->idb() : idb_);
-}
-
-size_t MaterializedView::idb_tuples() const {
-  return mode_ == Mode::kIncremental ? inc_->idb().TotalTuples()
-                                     : idb_.TotalTuples();
+const Database& MaterializedView::idb() const {
+  return mode_ == Mode::kIncremental ? inc_->idb() : idb_;
 }
 
 }  // namespace semopt

@@ -29,12 +29,18 @@ std::string DecodeBodyLine(std::string_view line) {
 }
 
 std::optional<std::string> LineBuffer::PopLine() {
-  size_t eol = buffer_.find('\n');
+  const size_t eol = buffer_.find('\n', read_);
   if (eol == std::string::npos) return std::nullopt;
   size_t end = eol;
-  if (end > 0 && buffer_[end - 1] == '\r') --end;
-  std::string line = buffer_.substr(0, end);
-  buffer_.erase(0, eol + 1);
+  if (end > read_ && buffer_[end - 1] == '\r') --end;
+  std::string line = buffer_.substr(read_, end - read_);
+  read_ = eol + 1;
+  // Compact once the consumed prefix outweighs the unread tail: each
+  // byte moves O(1) times amortized, however long the pipeline.
+  if (read_ * 2 > buffer_.size()) {
+    buffer_.erase(0, read_);
+    read_ = 0;
+  }
   return line;
 }
 

@@ -34,6 +34,11 @@ std::string DecodeBodyLine(std::string_view line);
 /// complete '\n'-terminated lines (the '\n' — and a preceding '\r', so
 /// `nc -C`/telnet clients work — is stripped). Bytes after the last
 /// newline stay buffered.
+///
+/// Popping advances a read offset instead of erasing the line from the
+/// front of the buffer, so draining N pipelined lines costs O(total
+/// bytes), not O(N * buffered bytes); the consumed prefix is compacted
+/// away once it grows past half the buffer.
 class LineBuffer {
  public:
   void Feed(std::string_view bytes) { buffer_.append(bytes); }
@@ -43,6 +48,8 @@ class LineBuffer {
 
  private:
   std::string buffer_;
+  /// Bytes of `buffer_` already returned by PopLine.
+  size_t read_ = 0;
 };
 
 }  // namespace semopt

@@ -48,13 +48,22 @@ SessionScheduler::Ticket SessionScheduler::Admit(QueryClass cls,
   {
     std::unique_lock<std::mutex> lock(mu_);
     ClassState& state = StateFor(cls);
+    // Admission is FIFO per class: a caller that just released a slot
+    // and asks again queues behind everyone already waiting, instead of
+    // racing the waiters it woke.
+    const uint64_t ticket = state.next_ticket++;
     ++state.queued;
     PublishGauges(cls);
-    cv_.wait(lock, [&] { return state.running < state.limit; });
+    cv_.wait(lock, [&] {
+      return ticket == state.next_admit && state.running < state.limit;
+    });
+    ++state.next_admit;
     --state.queued;
     ++state.running;
     PublishGauges(cls);
   }
+  // The next ticket in line may fit under the limit too.
+  cv_.notify_all();
   const auto waited = std::chrono::duration_cast<std::chrono::microseconds>(
       std::chrono::steady_clock::now() - start);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();

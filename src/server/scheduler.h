@@ -3,6 +3,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 
 namespace semopt {
@@ -23,8 +24,8 @@ const char* QueryClassName(QueryClass c);
 
 /// Two-class admission control for a query server: at most
 /// `max_heavy` heavy and `max_light` light queries run at once;
-/// excess callers block in Admit() and are released FIFO-ish by
-/// condition variable as running queries finish. This is the
+/// excess callers block in Admit() and are admitted in arrival order
+/// (per class) as running queries finish. This is the
 /// aggregate thread-budget guard — each heavy query may spin up its
 /// own evaluation pool of `threads_per_query` workers, so the
 /// worst-case thread count is bounded by
@@ -90,6 +91,10 @@ class SessionScheduler {
     size_t limit = 0;
     size_t running = 0;
     size_t queued = 0;
+    /// FIFO admission: callers draw `next_ticket` on arrival and are
+    /// admitted when their ticket equals `next_admit`.
+    uint64_t next_ticket = 0;
+    uint64_t next_admit = 0;
   };
 
   void ReleaseSlot(QueryClass cls);

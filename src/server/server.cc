@@ -3,10 +3,14 @@
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <mutex>
 
 #include "obs/metrics.h"
 #include "server/protocol.h"
@@ -30,6 +34,22 @@ bool SendAll(int fd, std::string_view data) {
   return true;
 }
 
+/// Pins glibc's mmap threshold for the rest of the process. Relation
+/// copies are tens of megabytes, and glibc's default threshold adapts
+/// upward (to 32 MiB) after the first large free; from then on such
+/// buffers come from per-thread heaps, where the small allocations of
+/// in-place view maintenance fragment the space they leave behind, and
+/// a server under a sustained write stream keeps growing its RSS
+/// (~25 MB/s on serve-churn-1m, 4-vCPU Xeon). With the threshold
+/// pinned, every relation-sized buffer is mmapped and goes back to the
+/// OS as soon as the generation or copy holding it is freed.
+void PinMmapThreshold() {
+#if defined(__GLIBC__)
+  static std::once_flag once;
+  std::call_once(once, [] { mallopt(M_MMAP_THRESHOLD, 4 << 20); });
+#endif
+}
+
 }  // namespace
 
 QueryServer::QueryServer(Database initial)
@@ -46,6 +66,7 @@ QueryServer::~QueryServer() { Stop(); }
 
 Status QueryServer::Start() {
   if (running_.load()) return Status::FailedPrecondition("already running");
+  PinMmapThreshold();
 
   if (!options_.query_log_path.empty()) {
     SEMOPT_RETURN_IF_ERROR(query_log_.OpenLog(options_.query_log_path));

@@ -36,7 +36,10 @@ namespace semopt {
 /// Lifecycle: construct with the initial database, Start() (binds,
 /// reports the port, spawns the accept loop), Stop() (stops accepting,
 /// shuts down live connections, joins every session thread). The
-/// destructor calls Stop().
+/// destructor calls Stop(). Under glibc, the first Start() also pins
+/// the process's malloc mmap threshold (4 MiB), so relation-sized
+/// buffers are returned to the OS when the generation holding them is
+/// reclaimed instead of fragmenting the allocator's heaps.
 class QueryServer {
  public:
   struct Options {
@@ -97,7 +100,7 @@ class QueryServer {
 
  private:
   /// The DatabaseHost all sessions share: routes reads to
-  /// SnapshotStore::Pin, writes to SnapshotStore::Mutate.
+  /// SnapshotStore::Pin, writes to SnapshotStore::Mutate/ApplyDelta.
   class Host : public DatabaseHost {
    public:
     explicit Host(QueryServer* server) : server_(server) {}
@@ -105,6 +108,9 @@ class QueryServer {
     Result<uint64_t> ApplyWrite(
         const std::function<Status(Database*)>& fn) override {
       return server_->store_.Mutate(fn);
+    }
+    Result<uint64_t> ApplyDelta(const SnapshotStore::DeltaFn& fn) override {
+      return server_->store_.ApplyDelta(fn);
     }
     PlanCacheInterface* plan_cache() override {
       return &server_->plan_cache_;

@@ -102,20 +102,19 @@ SessionCommandProcessor::SessionCommandProcessor(DatabaseHost* host)
 Result<IvmStats> DatabaseHost::ApplyUpdate(const std::vector<Atom>& adds,
                                            const std::vector<Atom>& dels) {
   IvmStats batch;
-  Result<uint64_t> written = ApplyWrite([&](Database* db) -> Status {
-    std::lock_guard<std::mutex> lock(view_mu_);
-    if (view_ != nullptr) {
-      SEMOPT_ASSIGN_OR_RETURN(batch, view_->Apply(adds, dels, db));
-      return Status::Ok();
-    }
-    const size_t before = db->TotalTuples();
-    SEMOPT_RETURN_IF_ERROR(ApplyEdbBatch(db, adds, dels));
-    const size_t after = db->TotalTuples();
-    batch.batches = 1;
-    batch.edb_inserted = after > before ? after - before : 0;
-    batch.edb_deleted = before > after ? before - after : 0;
-    return Status::Ok();
-  });
+  Result<uint64_t> written =
+      ApplyDelta([&](const Database& head) -> Result<DatabaseDelta> {
+        std::lock_guard<std::mutex> lock(view_mu_);
+        DatabaseDelta delta;
+        if (view_ != nullptr) {
+          SEMOPT_ASSIGN_OR_RETURN(batch, view_->Apply(adds, dels, &delta));
+          return delta;
+        }
+        SEMOPT_ASSIGN_OR_RETURN(delta, EdbBatchDelta(head, adds, dels));
+        batch.batches = 1;
+        CountDelta(delta, &batch.edb_deleted, &batch.edb_inserted);
+        return delta;
+      });
   SEMOPT_RETURN_IF_ERROR(written.status());
   return batch;
 }
@@ -126,13 +125,14 @@ Result<size_t> DatabaseHost::Materialize(const Program& program,
   size_t tuples = 0;
   // Build and publish inside one write: the initial fixpoint runs
   // against the write clone, so no update batch can slip between the
-  // base snapshot and the published IDB.
+  // base snapshot and the published IDB. The generation gets its own
+  // copy of the IDB; later batches publish only their deltas into it.
   Result<uint64_t> written = ApplyWrite([&](Database* db) -> Status {
     SEMOPT_ASSIGN_OR_RETURN(std::unique_ptr<MaterializedView> view,
                             MaterializedView::Create(program, *db, options,
                                                      mode));
-    view->PublishInto(db);
-    tuples = view->idb_tuples();
+    db->CopyRelationsFrom(view->idb());
+    tuples = view->idb().TotalTuples();
     std::lock_guard<std::mutex> lock(view_mu_);
     view_ = std::move(view);
     return Status::Ok();

@@ -46,6 +46,12 @@ class DatabaseHost {
   virtual Result<uint64_t> ApplyWrite(
       const std::function<Status(Database*)>& fn) = 0;
 
+  /// Applies the net change `fn` computes against the current database
+  /// (a delta write: under a server host only the delta's rows are
+  /// written into the next generation, see SnapshotStore::ApplyDelta).
+  /// Same atomicity and return value as ApplyWrite.
+  virtual Result<uint64_t> ApplyDelta(const SnapshotStore::DeltaFn& fn) = 0;
+
   /// The plan cache every evaluation of this session borrows. May be
   /// shared across sessions (SharedPlanCache) or private (PlanCache);
   /// never null.
@@ -60,18 +66,19 @@ class DatabaseHost {
   virtual obs::QueryLog* query_log() { return nullptr; }
 
   /// Applies one mixed update batch — `dels` removed, then `adds`
-  /// inserted — through ApplyWrite, so under a server host the batch
-  /// publishes as one generation. When a materialized view is
-  /// installed, the same write also maintains and republishes the IDB:
-  /// a reader pinning the next snapshot sees base and derived facts
-  /// move together, with no full recomputation on the incremental
-  /// path. Returns the batch's maintenance stats (EDB-only counters
-  /// when no view is installed).
+  /// inserted — as one delta write, so under a server host the batch
+  /// publishes as one generation at O(|Δ|) cost. When a materialized
+  /// view is installed, the same write also maintains the IDB and
+  /// carries its net change: a reader pinning the next snapshot sees
+  /// base and derived facts move together, with no full recomputation
+  /// on the incremental path. Returns the batch's maintenance stats
+  /// (EDB-only counters when no view is installed).
   Result<IvmStats> ApplyUpdate(const std::vector<Atom>& adds,
                                const std::vector<Atom>& dels);
 
   /// Installs a materialized view of `program` over the current
-  /// database and publishes its IDB. Replaces any previous view.
+  /// database and publishes a copy of its IDB. Replaces any previous
+  /// view.
   /// Returns the number of IDB tuples materialized.
   Result<size_t> Materialize(const Program& program,
                              const EvalOptions& options,

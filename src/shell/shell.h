@@ -66,6 +66,11 @@ class Shell {
       SEMOPT_RETURN_IF_ERROR(fn(&db));
       return uint64_t{0};
     }
+    Result<uint64_t> ApplyDelta(const SnapshotStore::DeltaFn& fn) override {
+      SEMOPT_ASSIGN_OR_RETURN(DatabaseDelta delta, fn(db));
+      db.ApplyDelta(delta);
+      return uint64_t{0};
+    }
     PlanCacheInterface* plan_cache() override { return &cache; }
 
     Database db;

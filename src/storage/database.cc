@@ -7,6 +7,11 @@
 
 namespace semopt {
 
+void RelationDelta::ApplyTo(Relation* rel) const {
+  rel->Erase(erased);
+  rel->Commit(inserted, /*delta_target=*/nullptr);
+}
+
 void Database::DetachIfShared(std::shared_ptr<Relation>* slot) {
   // use_count == 1 means no other database holds this relation; the
   // snapshot path guarantees no concurrent mutator (writers serialize)
@@ -27,6 +32,18 @@ Relation& Database::GetOrCreate(const PredicateId& pred) {
     DetachIfShared(&it->second);
   }
   return *it->second;
+}
+
+bool Database::Shared(const PredicateId& pred) const {
+  auto it = relations_.find(pred);
+  return it != relations_.end() && it->second.use_count() > 1;
+}
+
+Relation& Database::Unshare(const PredicateId& pred) {
+  std::shared_ptr<Relation>& slot = relations_[pred];
+  slot = slot == nullptr ? std::make_shared<Relation>(pred)
+                         : std::make_shared<Relation>(*slot);
+  return *slot;
 }
 
 const Relation* Database::Find(const PredicateId& pred) const {
@@ -90,9 +107,15 @@ Database Database::CloneShared() const {
   return copy;
 }
 
-void Database::MergeSharedFrom(const Database& other) {
+void Database::CopyRelationsFrom(const Database& other) {
   for (const auto& [pred, rel] : other.relations_) {
-    relations_[pred] = rel;
+    relations_[pred] = std::make_shared<Relation>(*rel);
+  }
+}
+
+void Database::ApplyDelta(const DatabaseDelta& delta) {
+  for (const auto& [pred, change] : delta) {
+    if (!change.empty()) change.ApplyTo(&GetOrCreate(pred));
   }
 }
 

@@ -14,6 +14,26 @@
 
 namespace semopt {
 
+/// The net change one write makes to one relation: `erased` rows are
+/// removed, then `inserted` rows added (set semantics on both sides, so
+/// replaying the same delta on an equal relation yields an equal one).
+struct RelationDelta {
+  explicit RelationDelta(uint32_t arity) : erased(arity), inserted(arity) {}
+
+  bool empty() const { return erased.empty() && inserted.empty(); }
+  size_t rows() const { return erased.size() + inserted.size(); }
+
+  /// Erases, then inserts, into `rel`.
+  void ApplyTo(Relation* rel) const;
+
+  TupleBuffer erased;
+  TupleBuffer inserted;
+};
+
+/// One write's per-predicate net changes — the unit SnapshotStore's
+/// delta write path publishes and the incremental evaluator reports.
+using DatabaseDelta = std::map<PredicateId, RelationDelta>;
+
 /// A database instance: a set of named relations (typically the EDB; the
 /// evaluation engine materializes IDB relations into a separate Database).
 /// Relations are created on first reference.
@@ -26,7 +46,9 @@ namespace semopt {
 /// the relations it touches (counted by the
 /// `storage.snapshot.relations_cloned` metric) while every other
 /// relation — and its already-built indexes — stays pointer-identical
-/// across generations.
+/// across generations. SnapshotStore::ApplyDelta goes one step further
+/// and swaps whole relation objects in and out of a generation, which
+/// is why it reaches the relation slots directly (friend).
 class Database {
  public:
   Database() = default;
@@ -43,6 +65,17 @@ class Database {
   /// detaches a shared relation before returning it.
   const Relation* Find(const PredicateId& pred) const;
   Relation* FindMutable(const PredicateId& pred);
+
+  /// True when `pred`'s relation is also held by another database (a
+  /// CloneShared copy or a snapshot generation).
+  bool Shared(const PredicateId& pred) const;
+
+  /// Replaces `pred`'s relation with a private deep copy, whatever its
+  /// reference count, and returns it. For a database that borrowed
+  /// relations from snapshot generations other threads release: the
+  /// reference count alone cannot tell it when a borrowed relation has
+  /// become safe to write in place.
+  Relation& Unshare(const PredicateId& pred);
 
   /// Inserts a fact given as a ground atom. Fails on non-ground args.
   Status AddFact(const Atom& fact);
@@ -67,13 +100,14 @@ class Database {
   /// pointers, not a tuple copy.
   Database CloneShared() const;
 
-  /// Shares every relation of `other` into this database (pointer
-  /// copies, replacing same-predicate entries). This is how a
-  /// materialized view's IDB is published into a write generation:
-  /// O(#relations), and the CoW discipline protects both sides — if the
-  /// view later maintains a shared relation, its mutable accessor
-  /// detaches first, leaving the published generation frozen.
-  void MergeSharedFrom(const Database& other);
+  /// Deep-copies every relation of `other` into this database,
+  /// replacing same-predicate entries (how `.materialize` gives a write
+  /// generation its own copy of a view's IDB).
+  void CopyRelationsFrom(const Database& other);
+
+  /// Applies every relation's delta in place (creating relations as
+  /// needed).
+  void ApplyDelta(const DatabaseDelta& delta);
 
   /// True if both databases contain exactly the same facts (index and
   /// insertion-order insensitive).
@@ -87,6 +121,8 @@ class Database {
   /// caller can hand out a mutable reference. Bumps the
   /// `storage.snapshot.relations_cloned` metric when it copies.
   static void DetachIfShared(std::shared_ptr<Relation>* slot);
+
+  friend class SnapshotStore;
 
   std::map<PredicateId, std::shared_ptr<Relation>> relations_;
 };

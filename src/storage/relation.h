@@ -246,6 +246,12 @@ class Relation {
   /// Number of secondary indexes currently materialized.
   size_t index_count() const;
 
+  /// The column sets of every materialized index. Safe to call
+  /// concurrently with EnsureIndex (same lock-free list walk as Probe):
+  /// the snapshot store reads a published relation's indexes to rebuild
+  /// them on the copy it is about to publish next.
+  std::vector<std::vector<uint32_t>> IndexColumnSets() const;
+
   std::string ToString() const;
 
  private:
@@ -268,6 +274,11 @@ class Relation {
     std::vector<uint32_t> slots;  // bucket id; kEmptySlot = empty
     std::vector<Bucket> buckets;
     size_t slot_mask = 0;
+    /// Buckets emptied by IndexErase and not yet garbage-collected.
+    /// Growth is sized by the live ones, so a steady erase/insert churn
+    /// recycles dead buckets at the same table size instead of
+    /// doubling it every rehash.
+    size_t dead = 0;
   };
   /// One node of the atomic index list. A node is fully built before
   /// the release store that links it in, and `next` never changes after

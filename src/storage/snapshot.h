@@ -96,6 +96,22 @@ class DatabaseSnapshot {
 ///    generations keep reading them untouched; new Pins see the new
 ///    head. Publication is a pointer swap — no reader can ever observe
 ///    a half-applied batch.
+///  - A writer whose change is a small per-relation delta calls
+///    ApplyDelta(fn) instead: `fn` returns the net (erased, inserted)
+///    rows per relation, and the store writes exactly those rows into
+///    the next generation. Each changed relation needs a private copy
+///    to write into; rather than deep-copying the live one every time,
+///    the store keeps the copy each delta write replaced together with
+///    that write's rows ("kept copy + saved rows == live copy"). The
+///    next delta write touching the relation replays the saved rows
+///    onto the kept copy, builds any index readers added to the live
+///    copy meanwhile, applies its own rows and publishes it — O(|Δ|),
+///    not O(|relation|). A kept copy is reused only once no generation
+///    references it any more (a reader still pinning the generation
+///    before the previous write forces today's deep copy, counted in
+///    storage.snapshot.relations_cloned), and it is never reachable
+///    from a pinnable generation, so isolation is unchanged. A bulk
+///    Mutate that touches a relation drops its kept copy.
 ///  - Reclamation is deferred: a superseded generation is parked on a
 ///    retired list and destroyed only once no live pin references an
 ///    epoch at or below its retirement point (checked on every unpin
@@ -119,6 +135,17 @@ class SnapshotStore {
   /// Writers serialize; readers are never blocked.
   Result<uint64_t> Mutate(const std::function<Status(Database*)>& fn);
 
+  /// Computes a delta write's net change against the head generation
+  /// `head`, under the writer lock (so no other write interleaves).
+  using DeltaFn = std::function<Result<DatabaseDelta>(const Database& head)>;
+
+  /// Publishes `head + fn(head)` as the next generation, writing only
+  /// the delta's rows into each changed relation (reusing kept copies,
+  /// see the class comment). Returns the new epoch, or `fn`'s error (in
+  /// which case nothing is published). Writers serialize with Mutate;
+  /// readers are never blocked.
+  Result<uint64_t> ApplyDelta(const DeltaFn& fn);
+
   /// The current head epoch (the generation new Pins will read).
   uint64_t epoch() const;
 
@@ -135,14 +162,28 @@ class SnapshotStore {
     std::shared_ptr<const Database> db;
   };
 
+  /// The copy of a relation that the last delta write touching it
+  /// replaced, plus that write's rows: replaying `rows` onto `copy`
+  /// yields the relation `live` points at (the one later generations
+  /// share until the next write to it).
+  struct Kept {
+    std::shared_ptr<Relation> copy;
+    const Relation* live = nullptr;
+    RelationDelta rows;
+  };
+
   friend class DatabaseSnapshot;
+  /// Retires the head in favour of `next`; returns the new epoch.
+  uint64_t Publish(std::shared_ptr<const Database> next);
   void Unpin(uint64_t epoch);
-  /// Drops retired generations no pinned reader can still reach.
-  /// Caller holds mu_.
-  void ReclaimLocked();
+  /// Takes retired generations no pinned reader can still reach off
+  /// the retired list and returns them. Caller holds mu_ and releases
+  /// them after unlocking it: freeing a generation can free whole
+  /// relations, which must not stall concurrent Pin/Unpin calls.
+  std::vector<std::shared_ptr<const Database>> ReclaimLocked();
 
   mutable std::mutex mu_;          // guards head_, epoch_, pins_, retired_
-  std::mutex writer_mu_;           // serializes Mutate bodies
+  std::mutex writer_mu_;           // serializes Mutate/ApplyDelta bodies
   std::shared_ptr<const Database> head_;
   uint64_t epoch_ = 1;
   /// Live pin count per epoch. A retired generation (superseded at
@@ -150,6 +191,9 @@ class SnapshotStore {
   std::map<uint64_t, size_t> pins_;
   std::vector<Retired> retired_;
   uint64_t reclaimed_ = 0;
+  /// Kept copies by predicate. Guarded by writer_mu_; never shared with
+  /// a generation (only ApplyDelta moves one back into the head).
+  std::map<PredicateId, Kept> kept_;
 };
 
 }  // namespace semopt

@@ -294,5 +294,53 @@ TEST(IvmTest, StatsAccumulateAndPublish) {
   EXPECT_FALSE(inc->totals().ToString().empty());
 }
 
+// The delta handed back per batch is exactly the settled net change,
+// EDB and IDB: applying it to a copy of the pre-batch state yields the
+// post-batch state. A borrowed (CloneShared) EDB is never written
+// through, and a rejected batch changes nothing.
+TEST(IvmTest, DeltaReplaysOntoAPublishedCopy) {
+  Program program = MustParse(R"(
+    t(X, Y) :- e(X, Y).
+    t(X, Y) :- t(X, Z), e(Z, Y).
+    lonely(X) :- n(X), not t(X, X).
+  )");
+  Database base = MustParseFacts(
+      "e(1, 2). e(2, 3). e(3, 1). n(1). n(2). n(3). n(4).");
+  const Database original = base.Clone();
+  Result<IncrementalEvaluator> inc =
+      IncrementalEvaluator::Create(program, base.CloneShared());
+  ASSERT_TRUE(inc.ok()) << inc.status();
+  Database published = base.Clone();
+  published.CopyRelationsFrom(inc->idb());
+
+  auto edge = [](int a, int b) {
+    return Atom("e", {Term::Int(a), Term::Int(b)});
+  };
+  const std::vector<std::pair<std::vector<Atom>, std::vector<Atom>>>
+      batches = {
+          {{edge(4, 4)}, {edge(3, 1)}},
+          {{edge(3, 1), edge(1, 4)}, {edge(4, 4), edge(9, 9)}},
+          {{edge(2, 3)}, {edge(2, 3), edge(1, 2)}},
+      };
+  for (const auto& [adds, dels] : batches) {
+    DatabaseDelta delta;
+    ASSERT_TRUE(inc->ApplyUpdates(adds, dels, nullptr, &delta).ok());
+    published.ApplyDelta(delta);
+    Database want = inc->edb().Clone();
+    want.CopyRelationsFrom(inc->idb());
+    EXPECT_TRUE(published.SameFactsAs(want)) << published.ToString();
+  }
+  EXPECT_TRUE(base.SameFactsAs(original)) << base.ToString();
+
+  // An IDB fact anywhere in the batch rejects it before the EDB moves.
+  const Database before = inc->edb().Clone();
+  DatabaseDelta delta;
+  Result<IvmStats> rejected = inc->ApplyUpdates(
+      {edge(5, 5), Atom("t", {Term::Int(1), Term::Int(1)})}, {edge(1, 4)},
+      nullptr, &delta);
+  EXPECT_FALSE(rejected.ok());
+  EXPECT_TRUE(inc->edb().SameFactsAs(before));
+}
+
 }  // namespace
 }  // namespace semopt

@@ -17,9 +17,12 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "shell/shell.h"
 #include "storage/column_view.h"
 #include "storage/relation.h"
+#include "storage/snapshot.h"
 #include "storage/storage_metrics.h"
+#include "util/string_util.h"
 #include "test_helpers.h"
 
 #include "gtest/gtest.h"
@@ -605,6 +608,45 @@ TEST(StorageObsTest, BulkLoadCountersAccumulateInGlobalRegistry) {
   EXPECT_EQ(global.GetCounter("io.bulk_load.bytes").value(),
             bytes_before + image.size());
   EXPECT_GE(global.GetCounter("io.bulk_load.us").value(), us_before);
+}
+
+TEST(StorageObsTest, SteadyDeltaWriteReusesAndStatsExportsIt) {
+  obs::MetricsRegistry& global = obs::MetricsRegistry::Global();
+  obs::Counter& cloned = global.GetCounter("storage.snapshot.relations_cloned");
+  obs::Counter& reused = global.GetCounter("storage.snapshot.relations_reused");
+  obs::Counter& replayed = global.GetCounter("storage.snapshot.rows_replayed");
+  const PredicateId pred{InternSymbol("obs_delta"), 1};
+  SnapshotStore store(MustParseFacts("obs_delta(0)."));
+  auto write = [&](int64_t v) {
+    ASSERT_TRUE(store.ApplyDelta([&](const Database&) -> Result<DatabaseDelta> {
+      DatabaseDelta delta;
+      delta.try_emplace(pred, 1).first->second.inserted.Append(
+          Tuple{Term::Int(v)});
+      return delta;
+    }).ok());
+  };
+  // The first two writes leave a kept copy no generation references.
+  write(1);
+  write(2);
+  const uint64_t cloned_before = cloned.value();
+  const uint64_t reused_before = reused.value();
+  const uint64_t replayed_before = replayed.value();
+  write(3);
+  EXPECT_EQ(cloned.value(), cloned_before);
+  EXPECT_EQ(reused.value(), reused_before + 1);
+  EXPECT_EQ(replayed.value(), replayed_before + 1);  // write 2's one row
+
+  // `:stats` exports the publish-path counters next to each other.
+  Shell shell;
+  const std::string stats = shell.Execute(":stats");
+  for (const char* name : {"semopt_storage_snapshot_relations_cloned ",
+                           "semopt_storage_snapshot_relations_reused ",
+                           "semopt_storage_snapshot_rows_replayed "}) {
+    EXPECT_NE(stats.find(name), std::string::npos) << name << "\n" << stats;
+  }
+  EXPECT_NE(stats.find(StrCat("semopt_storage_snapshot_relations_reused ",
+                              reused.value())),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,14 +9,19 @@
 
 #include <cerrno>
 #include <cstring>
+#include <functional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "eval/fixpoint.h"
 #include "obs/metrics.h"
 #include "server/protocol.h"
 #include "server/server.h"
 #include "shell/shell.h"
+#include "util/hash_util.h"
+#include "util/string_util.h"
 
 #include "gtest/gtest.h"
 #include "test_helpers.h"
@@ -24,6 +29,7 @@
 namespace semopt {
 namespace {
 
+using testing_util::MustParse;
 using testing_util::MustParseFacts;
 
 // --- protocol unit tests ---
@@ -52,6 +58,40 @@ TEST(ProtocolTest, LineBufferSplitsAndStripsCrLf) {
   EXPECT_FALSE(buffer.PopLine().has_value());
   buffer.Feed("ee\n");
   EXPECT_EQ(buffer.PopLine(), "three");
+}
+
+TEST(ProtocolTest, LineBufferDrainsAPipelinedBurstInOrder) {
+  // 10k lines arrive before the first is popped: every third is
+  // "\r\n"-terminated, and the burst is fed in uneven chunks so lines
+  // (and some "\r\n" pairs) straddle Feed boundaries.
+  constexpr int kLines = 10000;
+  std::string burst;
+  std::vector<std::string> want;
+  for (int i = 0; i < kLines; ++i) {
+    want.push_back("e(" + std::to_string(i) + ", " + std::to_string(i * 7) +
+                   ").");
+    burst += want.back();
+    burst += i % 3 == 0 ? "\r\n" : "\n";
+  }
+  LineBuffer buffer;
+  size_t pos = 0;
+  for (size_t chunk = 1; pos < burst.size(); chunk = chunk % 37 + 1) {
+    buffer.Feed(std::string_view(burst).substr(pos, chunk));
+    pos += chunk;
+  }
+  std::vector<std::string> got;
+  while (std::optional<std::string> line = buffer.PopLine()) {
+    got.push_back(*line);
+  }
+  EXPECT_EQ(got, want);
+
+  // Interleaved feeding and popping keeps working after compaction.
+  buffer.Feed("tail\r");
+  EXPECT_FALSE(buffer.PopLine().has_value());
+  buffer.Feed("\nnext\n");
+  EXPECT_EQ(buffer.PopLine(), "tail");
+  EXPECT_EQ(buffer.PopLine(), "next");
+  EXPECT_FALSE(buffer.PopLine().has_value());
 }
 
 // --- socket test client ---
@@ -269,6 +309,181 @@ TEST(QueryServerTest, RetractionWithoutViewIsAPlainWrite) {
   EXPECT_EQ(client.Request("~ e(a, b)."), "retracted 0 fact(s) (1 absent)");
   EXPECT_EQ(client.Request(".db"), "e/2: 1 tuple(s)\n1 tuple(s) total");
   server.Stop();
+}
+
+// --- delta publishing through DatabaseHost::ApplyUpdate ---
+
+/// The query server's host shape without the sockets: reads pin the
+/// store's head, writes go through Mutate / ApplyDelta.
+class StoreHost : public DatabaseHost {
+ public:
+  explicit StoreHost(Database initial) : store_(std::move(initial)) {}
+  DatabaseSnapshot Snapshot() override { return store_.Pin(); }
+  Result<uint64_t> ApplyWrite(
+      const std::function<Status(Database*)>& fn) override {
+    return store_.Mutate(fn);
+  }
+  Result<uint64_t> ApplyDelta(const SnapshotStore::DeltaFn& fn) override {
+    return store_.ApplyDelta(fn);
+  }
+  PlanCacheInterface* plan_cache() override { return &cache_; }
+
+ private:
+  SnapshotStore store_;
+  PlanCache cache_;
+};
+
+/// Every fact of `db` as text, order-insensitive — a generation's
+/// fingerprint for the "pinned generations never change" check.
+std::multiset<std::string> FactsOf(const Database& db) {
+  std::multiset<std::string> facts;
+  for (const PredicateId& pred : db.Predicates()) {
+    for (RowRef row : db.Find(pred)->rows()) {
+      facts.insert(StrCat(pred.ToString(), TupleToString(row)));
+    }
+  }
+  return facts;
+}
+
+/// `head` restricted to the non-IDB predicates, plus a from-scratch
+/// Evaluate of `program` over them: what a maintained head must hold.
+Database ExpectedHead(const Program& program, const Database& head) {
+  const std::set<PredicateId> idb_preds = program.IdbPredicates();
+  Database expected;
+  for (const PredicateId& pred : head.Predicates()) {
+    if (idb_preds.count(pred) > 0) continue;
+    Relation& rel = expected.GetOrCreate(pred);
+    for (RowRef row : head.Find(pred)->rows()) rel.Insert(row);
+  }
+  Result<Database> idb = Evaluate(program, expected);
+  EXPECT_TRUE(idb.ok()) << idb.status();
+  if (idb.ok()) expected.CopyRelationsFrom(*idb);
+  return expected;
+}
+
+TEST(DeltaPublishDifferentialTest, ViewWritesMatchFromScratchUnderPins) {
+  // Random add/retract batches through ApplyUpdate with a maintained
+  // view. Simulated readers hold pins for random spans (measured in
+  // batches, so nothing depends on timing): kept copies are recycled
+  // whenever no pin holds them and deep-copied otherwise. After every
+  // batch the head must equal a from-scratch fixpoint of its own EDB,
+  // and every still-pinned generation must be exactly what it was.
+  const char* kPrograms[] = {
+      R"(reach(Y) :- src(X), e(X, Y).
+         reach(Y) :- reach(X), e(X, Y).
+         linked(X, Y) :- e(X, Y), src(X).
+         dark(X) :- node(X), not reach(X).)",
+      R"(t(X, Y) :- e(X, Y).
+         t(X, Z) :- t(X, Y), e(Y, Z).
+         hub(X) :- t(X, Y), t(Y, X).)",
+  };
+  constexpr int kNodes = 12;
+  for (const char* source : kPrograms) {
+    for (MaterializedView::Mode mode : {MaterializedView::Mode::kIncremental,
+                                        MaterializedView::Mode::kRecompute}) {
+      SCOPED_TRACE(StrCat(source, mode == MaterializedView::Mode::kIncremental
+                                      ? " [incremental]"
+                                      : " [recompute]"));
+      SplitMix64 rng(91);
+      Database base;
+      base.AddTuple("src", {Term::Int(0)});
+      for (int n = 0; n < kNodes; ++n) base.AddTuple("node", {Term::Int(n)});
+      auto random_edge = [&rng]() {
+        return Atom("e", {Term::Int(static_cast<int64_t>(rng.Below(kNodes))),
+                          Term::Int(static_cast<int64_t>(rng.Below(kNodes)))});
+      };
+      for (int i = 0; i < 14; ++i) {
+        ASSERT_TRUE(base.AddFact(random_edge()).ok());
+      }
+      const Program program = MustParse(source);
+      StoreHost host(std::move(base));
+      ASSERT_TRUE(host.Materialize(program, EvalOptions(), mode).ok());
+
+      obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+      const uint64_t cloned_before =
+          registry.GetCounter("storage.snapshot.relations_cloned").value();
+      const uint64_t reused_before =
+          registry.GetCounter("storage.snapshot.relations_reused").value();
+      struct Pinned {
+        DatabaseSnapshot snap;
+        std::multiset<std::string> facts;
+        int release_after = 0;
+      };
+      std::vector<Pinned> pinned;
+      for (int batch = 0; batch < 60; ++batch) {
+        if (rng.Below(3) == 0) {
+          Pinned p;
+          p.snap = host.Snapshot();
+          p.facts = FactsOf(p.snap.db());
+          p.release_after = batch + static_cast<int>(rng.Below(5));
+          pinned.push_back(std::move(p));
+        }
+        std::vector<Atom> adds, dels;
+        const int n_adds = static_cast<int>(rng.Below(4));
+        const int n_dels = static_cast<int>(rng.Below(4));
+        for (int i = 0; i < n_adds; ++i) adds.push_back(random_edge());
+        for (int i = 0; i < n_dels; ++i) dels.push_back(random_edge());
+        ASSERT_TRUE(host.ApplyUpdate(adds, dels).ok());
+
+        DatabaseSnapshot head = host.Snapshot();
+        ASSERT_TRUE(head.db().SameFactsAs(ExpectedHead(program, head.db())))
+            << "batch " << batch << "\n"
+            << head.db().ToString();
+        for (const Pinned& p : pinned) {
+          ASSERT_EQ(FactsOf(p.snap.db()), p.facts) << "batch " << batch;
+        }
+        std::erase_if(pinned, [batch](const Pinned& p) {
+          return p.release_after <= batch;
+        });
+      }
+      // Both publishing paths ran: kept copies recycled, and deep copies
+      // while a pin held them.
+      EXPECT_GT(registry.GetCounter("storage.snapshot.relations_reused").value(),
+                reused_before);
+      EXPECT_GT(registry.GetCounter("storage.snapshot.relations_cloned").value(),
+                cloned_before);
+    }
+  }
+}
+
+TEST(DeltaPublishDifferentialTest, PlainWritesWithoutAView) {
+  // The no-view `fact.` / `~ fact.` path publishes through the same
+  // delta write: the head tracks a reference set exactly, a tuple
+  // retracted and re-added in one batch stays, and the reported counts
+  // are the net change.
+  StoreHost host(Database{});
+  std::set<std::pair<int, int>> want;
+  SplitMix64 rng(5);
+  for (int batch = 0; batch < 40; ++batch) {
+    std::vector<Atom> adds, dels;
+    std::set<std::pair<int, int>> next = want;
+    for (int i = 0; i < 3; ++i) {
+      const int a = static_cast<int>(rng.Below(4));
+      const int b = static_cast<int>(rng.Below(4));
+      dels.push_back(Atom("e", {Term::Int(a), Term::Int(b)}));
+      next.erase({a, b});
+    }
+    for (int i = 0; i < 3; ++i) {
+      const int a = static_cast<int>(rng.Below(4));
+      const int b = static_cast<int>(rng.Below(4));
+      adds.push_back(Atom("e", {Term::Int(a), Term::Int(b)}));
+      next.insert({a, b});
+    }
+    Result<IvmStats> stats = host.ApplyUpdate(adds, dels);
+    ASSERT_TRUE(stats.ok());
+    size_t gone = 0, fresh = 0;
+    for (const auto& edge : want) gone += next.count(edge) == 0 ? 1 : 0;
+    for (const auto& edge : next) fresh += want.count(edge) == 0 ? 1 : 0;
+    EXPECT_EQ(stats->edb_deleted, gone) << "batch " << batch;
+    EXPECT_EQ(stats->edb_inserted, fresh) << "batch " << batch;
+    want = std::move(next);
+    DatabaseSnapshot head = host.Snapshot();
+    EXPECT_EQ(testing_util::RelationSize(head.db(), "e", 2), want.size());
+    for (const auto& [a, b] : want) {
+      EXPECT_TRUE(head.db().Find(PredicateId{InternSymbol("e"), 2})
+                      ->Contains(Tuple{Term::Int(a), Term::Int(b)}));
+    }
+  }
 }
 
 TEST(QueryServerTest, StopDisconnectsIdleSessions) {
