@@ -1,20 +1,20 @@
-// Experiment E10: block-at-a-time (batched) join execution versus the
-// tuple-at-a-time executor, at identical plans and identical results.
+// Experiment E10: block-at-a-time (batched) join execution, with and
+// without the vectorized kernels, at identical plans and results.
 //
 // Claims measured:
 //   * streaming frame blocks through the step pipeline (probe-key
 //     gathering + ProbeBatch + tight extend loops, block head flushes)
-//     beats per-tuple recursive execution on join-heavy fixpoints;
+//     on join-heavy fixpoints, with the SIMD kernels on and off;
 //   * the cross-round plan cache removes steady-state planning/index
-//     tolls for both modes (hits are published as counters).
+//     tolls (hits are published as counters).
 //
 // Series: the E1 university workload (recursive eval with fan-out), the
 // E6 chain-shaped university full evaluation, and the E8 genealogy
-// workload (serial and 4 threads). Every config runs with
-// eval.batch_size=1 (Tuple), =1024 (Batch), and =1024 with simd=off
-// (BatchScalar — the vectorized-kernel ablation); before timing, all
-// modes are evaluated once and the benchmark aborts unless the derived
-// tuple counts are bit-identical and the fixpoints set-equal.
+// workload (1 and 4 threads). Every config runs with
+// eval.batch_size=1024 (Batch) and =1024 with simd=off (BatchScalar —
+// the vectorized-kernel ablation); before timing, both modes are
+// evaluated once and the benchmark aborts unless the derived tuple
+// counts are bit-identical and the fixpoints set-equal.
 
 #include <set>
 #include <string>
@@ -49,18 +49,16 @@ EvalStats EvaluateModeOrDie(::benchmark::State& state, const Program& program,
   return stats;
 }
 
-/// One-time per (tag, config): evaluates tuple-at-a-time, batched
-/// vectorized, and batched scalar (simd=off) modes and aborts the
-/// benchmark unless all derive bit-identical counts and set-equal
-/// fixpoints. Runs outside the timed loop.
+/// One-time per (tag, config): evaluates the batched vectorized and
+/// batched scalar (simd=off) modes and aborts the benchmark unless both
+/// derive bit-identical counts and set-equal fixpoints. Runs outside
+/// the timed loop.
 void VerifyModesAgreeOnce(::benchmark::State& state, const std::string& tag,
                           const Program& program, const Database& edb,
                           size_t threads) {
   static std::set<std::string>* verified = new std::set<std::string>();
   if (!verified->insert(tag).second) return;
-  EvalStats tuple_stats, batch_stats, scalar_stats;
-  Result<Database> tuple_idb =
-      Evaluate(program, edb, OptionsFor(1, threads), &tuple_stats);
+  EvalStats batch_stats, scalar_stats;
   Result<Database> batch_idb = Evaluate(
       program, edb, OptionsFor(RuleExecutor::kDefaultBatchSize, threads),
       &batch_stats);
@@ -68,14 +66,8 @@ void VerifyModesAgreeOnce(::benchmark::State& state, const std::string& tag,
       program, edb,
       OptionsFor(RuleExecutor::kDefaultBatchSize, threads, SimdMode::kOff),
       &scalar_stats);
-  if (!tuple_idb.ok() || !batch_idb.ok() || !scalar_idb.ok()) {
+  if (!batch_idb.ok() || !scalar_idb.ok()) {
     state.SkipWithError("verification evaluation failed");
-    return;
-  }
-  if (tuple_stats.derived_tuples != batch_stats.derived_tuples ||
-      tuple_stats.duplicate_tuples != batch_stats.duplicate_tuples ||
-      !tuple_idb->SameFactsAs(*batch_idb)) {
-    state.SkipWithError("tuple and batched modes disagree");
     return;
   }
   if (batch_stats.derived_tuples != scalar_stats.derived_tuples ||
@@ -119,9 +111,6 @@ void RunE1(::benchmark::State& state, size_t batch_size,
   PublishBatchStats(state, stats);
 }
 
-void BM_E10_E1_University_Tuple(::benchmark::State& state) {
-  RunE1(state, 1);
-}
 void BM_E10_E1_University_Batch(::benchmark::State& state) {
   RunE1(state, RuleExecutor::kDefaultBatchSize);
 }
@@ -155,9 +144,6 @@ void RunE6(::benchmark::State& state, size_t batch_size,
   PublishBatchStats(state, stats);
 }
 
-void BM_E10_E6_UniversityChain_Tuple(::benchmark::State& state) {
-  RunE6(state, 1);
-}
 void BM_E10_E6_UniversityChain_Batch(::benchmark::State& state) {
   RunE6(state, RuleExecutor::kDefaultBatchSize);
 }
@@ -192,9 +178,6 @@ void RunE8(::benchmark::State& state, size_t batch_size,
   PublishBatchStats(state, stats);
 }
 
-void BM_E10_E8_Genealogy_Tuple(::benchmark::State& state) {
-  RunE8(state, 1);
-}
 void BM_E10_E8_Genealogy_Batch(::benchmark::State& state) {
   RunE8(state, RuleExecutor::kDefaultBatchSize);
 }
@@ -214,13 +197,10 @@ void E8Args(::benchmark::internal::Benchmark* b) {
   b->Unit(::benchmark::kMillisecond);
 }
 
-BENCHMARK(BM_E10_E1_University_Tuple)->Apply(E1E6Args);
 BENCHMARK(BM_E10_E1_University_Batch)->Apply(E1E6Args);
 BENCHMARK(BM_E10_E1_University_BatchScalar)->Apply(E1E6Args);
-BENCHMARK(BM_E10_E6_UniversityChain_Tuple)->Apply(E1E6Args);
 BENCHMARK(BM_E10_E6_UniversityChain_Batch)->Apply(E1E6Args);
 BENCHMARK(BM_E10_E6_UniversityChain_BatchScalar)->Apply(E1E6Args);
-BENCHMARK(BM_E10_E8_Genealogy_Tuple)->Apply(E8Args);
 BENCHMARK(BM_E10_E8_Genealogy_Batch)->Apply(E8Args);
 BENCHMARK(BM_E10_E8_Genealogy_BatchScalar)->Apply(E8Args);
 

@@ -1,19 +1,19 @@
 // Experiment E8: parallel fixpoint scaling.
 //
-// Measures the morsel-driven parallel semi-naive evaluator
-// (src/exec/) against the serial batched baseline at 1/2/4/8 worker
-// threads, on the genealogy and organization workloads, for both the
-// original and the semantically optimized program. Thread count 1 runs
-// the serial evaluator untouched, so the 1-thread rows ARE the
-// baseline. Each round carves the frozen delta into ~batch_size-row
-// morsels pulled off a shared cursor, so the `bindings` counter is
-// invariant in the thread count (tests/morsel_test.cc) and the rows
-// differ in wall clock only.
+// Measures the morsel-driven semi-naive fixpoint engine (src/exec/) at
+// 1/2/4/8 worker lanes, on the genealogy and organization workloads,
+// for both the original and the semantically optimized program. One
+// lane runs unpartitioned plans, one task per rule execution, so the
+// 1-thread rows are the single-lane baseline. With more lanes each
+// round carves the frozen delta into ~batch_size-row morsels pulled off
+// a shared cursor, so the `bindings` counter is invariant across the
+// multi-lane thread counts (tests/morsel_test.cc) and those rows differ
+// in wall clock only.
 //
 // Results are set-equal across thread counts (tests/morsel_test.cc);
 // this benchmark quantifies the wall-clock effect only. Speedup is
-// bounded by the machine's core count — on a single-core container
-// every thread count collapses to serial-plus-overhead. Read the
+// bounded by the machine's core count — on a single-core machine every
+// thread count collapses to one lane plus overhead. Read the
 // hw_cores / hw_governor context keys stamped into the JSON output
 // before interpreting a scaling curve.
 

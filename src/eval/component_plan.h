@@ -21,8 +21,8 @@ struct PlannedRule {
 
 /// A strongly connected component of the predicate dependency graph
 /// together with its compiled rules, in evaluation (reverse
-/// topological) order. Shared by the serial and parallel fixpoint
-/// drivers.
+/// topological) order. The fixpoint engine's input, also read by
+/// `:profile`/`:plan` and incremental maintenance.
 struct EvalComponent {
   std::set<PredicateId> preds;
   std::vector<PlannedRule> rules;

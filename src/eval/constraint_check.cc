@@ -12,19 +12,6 @@ namespace semopt {
 
 namespace {
 
-/// RelationSource over a single database (no deltas).
-class EdbSource : public RelationSource {
- public:
-  explicit EdbSource(const Database* db) : db_(db) {}
-  const Relation* Full(const PredicateId& pred) const override {
-    return db_->Find(pred);
-  }
-  const Relation* Delta(const PredicateId&) const override { return nullptr; }
-
- private:
-  const Database* db_;
-};
-
 /// Enumerates the ground instantiations of `ic`'s body over `edb`,
 /// passing each complete variable binding (over CollectVariables of the
 /// body) to `on_binding`.
@@ -37,7 +24,7 @@ Status ForEachBodyBinding(
   for (SymbolId v : vars) head_args.push_back(Term::Var(v));
   Rule probe_rule("ic$probe", Atom("ic$body", head_args), ic.body());
   SEMOPT_ASSIGN_OR_RETURN(RuleExecutor exec, RuleExecutor::Create(probe_rule));
-  EdbSource source(&edb);
+  DatabaseSource source(&edb);
   exec.Execute(source, -1,
                [&](RowRef t) {
                  std::map<SymbolId, Value> binding;

@@ -19,11 +19,11 @@ struct RuleStats {
   size_t applications = 0;
   size_t derived = 0;
   size_t duplicates = 0;
-  /// Wall time spent executing this rule (join + commit), summed over
-  /// applications. Nanoseconds; serial engine measures per RunRule, the
-  /// parallel engine sums per-morsel worker time (so concurrent morsels
-  /// count their full individual durations — it is CPU time shape, not
-  /// elapsed round time).
+  /// Wall time spent executing this rule's joins, summed over
+  /// applications. Nanoseconds; the engine sums per-task worker time
+  /// (so with several lanes, concurrent morsels count their full
+  /// individual durations — it is CPU time shape, not elapsed round
+  /// time).
   uint64_t exec_ns = 0;
 
   void Add(const RuleStats& o) {
@@ -34,7 +34,7 @@ struct RuleStats {
   }
 };
 
-/// One fixpoint round as the engines executed it: which stratum, the
+/// One fixpoint round as the engine executed it: which stratum, the
 /// 1-based global round index within the evaluation, its wall time and
 /// the delta it consumed/produced. Collected whenever the caller passed
 /// an EvalStats (two clock reads per round — cheap enough for the
@@ -51,17 +51,16 @@ struct RoundTiming {
   size_t derived = 0;
 };
 
-/// Tuples produced per worker slot in one parallel round — the
-/// imbalance the merged totals hide: a round where one worker derives
-/// everything scales like the serial engine no matter the thread
-/// count.
+/// Tuples produced per worker lane in one round — the imbalance the
+/// merged totals hide: a round where one lane derives everything runs
+/// at one-lane speed no matter the thread count.
 struct RoundBalance {
   size_t round = 0;   ///< 1-based global round index within the evaluation
   size_t workers = 0; ///< worker lanes in the round (pool width)
   size_t min_tuples = 0;
   size_t max_tuples = 0;
   size_t total_tuples = 0;
-  /// Morsels claimed per lane (morsel engine; zero on other paths).
+  /// Morsels claimed per lane.
   /// A round is balanced when max_morsels ≈ total_morsels / workers.
   size_t min_morsels = 0;
   size_t max_morsels = 0;
@@ -108,21 +107,22 @@ struct EvalStats {
   size_t plan_cache_misses = 0;
   /// Head blocks flushed by the batched executor (ExecutePlanBatched).
   size_t batches = 0;
-  /// Morsels executed by the parallel engine (driving-relation row
-  /// ranges pulled off the shared round cursor).
+  /// Tasks the fixpoint engine ran: driving-relation row ranges pulled
+  /// off the shared round cursor, plus one per unrestricted execution
+  /// (every execution at one lane).
   size_t morsels = 0;
   /// Morsels claimed by a lane other than the one a static contiguous
   /// split would have assigned them to — the dynamic load balancing a
   /// fixed partition scheme forgoes.
   size_t morsel_steals = 0;
-  /// Wall time of the whole Evaluate call (both engines), nanoseconds.
+  /// Wall time of the whole Evaluate call, nanoseconds.
   uint64_t eval_ns = 0;
   /// Largest per-round delta (tuples across the component's predicates)
   /// the semi-naive fixpoint carried — the working-set high-water mark.
   size_t peak_delta_tuples = 0;
 
-  /// Per-round timeline (stratum, wall time, delta sizes); filled by
-  /// both engines whenever stats are collected at all.
+  /// Per-round timeline (stratum, wall time, delta sizes); filled
+  /// whenever stats are collected at all.
   std::vector<RoundTiming> rounds;
   /// Per-rule breakdown; empty unless EvalOptions::collect_metrics.
   std::map<std::string, RuleStats> per_rule;

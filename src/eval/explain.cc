@@ -189,25 +189,8 @@ Result<ProofNode> ExplainFromScratch(const Program& program,
 
 namespace {
 
-/// RelationSource over the EDB only: IDB relations count as empty, the
-/// regime a fresh evaluation's first rounds plan in. Mirrors the
-/// server's `:plan` view so `:profile` and `:plan` show the same plans.
-class EdbOnlySource : public RelationSource {
- public:
-  explicit EdbOnlySource(const Database* edb) : edb_(edb) {}
-  const Relation* Full(const PredicateId& pred) const override {
-    return edb_->Find(pred);
-  }
-  const Relation* Delta(const PredicateId&) const override {
-    return nullptr;
-  }
-
- private:
-  const Database* edb_;
-};
-
-/// EvalStats::per_rule key for a planned rule (same convention as both
-/// engines: the label when set, else the head predicate).
+/// EvalStats::per_rule key for a planned rule (same convention as the
+/// engine: the label when set, else the head predicate).
 std::string AnalyzeRuleKey(const PlannedRule& pr) {
   const std::string& label = pr.executor.rule().label();
   return label.empty() ? pr.head.ToString() : label;
@@ -221,7 +204,10 @@ std::string ExplainAnalyze(const Program& program, const Database& edb,
   std::ostringstream os;
   Result<std::vector<EvalComponent>> components = PlanComponents(program);
   if (!components.ok()) return components.status().ToString();
-  EdbOnlySource source(&edb);
+  // Plans over the EDB only: IDB relations count as empty, the regime a
+  // fresh evaluation's first rounds plan in. Mirrors the server's
+  // `:plan` view so `:profile` and `:plan` show the same plans.
+  DatabaseSource source(&edb);
 
   // Which planner produced the plans below (the per-plan trailer also
   // says so, including a per-rule greedy fallback under kCost).
@@ -237,8 +223,8 @@ std::string ExplainAnalyze(const Program& program, const Database& edb,
        << (component.rules.size() == 1 ? " rule" : " rules") << "):\n";
     for (const PlannedRule& pr : component.rules) {
       Result<RuleExecutor::PreparedPlan> plan = pr.executor.Prepare(
-          source, -1, options.cardinality_planning,
-          /*skip_delta_index=*/false, /*partition=*/false, options.planner);
+          source, -1, options.cardinality_planning, /*partition=*/false,
+          options.planner);
       if (plan.ok()) {
         os << pr.executor.DescribePlan(*plan) << "\n";
       } else {

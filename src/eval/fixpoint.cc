@@ -1,16 +1,7 @@
 #include "eval/fixpoint.h"
 
-#include <algorithm>
 #include <chrono>
-#include <functional>
-#include <map>
-#include <memory>
-#include <set>
-#include <vector>
 
-#include "eval/component_plan.h"
-#include "eval/plan_cache.h"
-#include "eval/rule_executor.h"
 #include "exec/parallel_fixpoint.h"
 #include "obs/trace.h"
 #include "util/simd.h"
@@ -20,41 +11,6 @@ namespace semopt {
 
 namespace {
 
-/// RelationSource over an EDB + the IDB being materialized, with
-/// optional per-predicate delta relations for the running component.
-class FixpointSource : public RelationSource {
- public:
-  FixpointSource(const Database* edb, Database* idb,
-                 const std::set<PredicateId>* idb_preds)
-      : edb_(edb), idb_(idb), idb_preds_(idb_preds) {}
-
-  const Relation* Full(const PredicateId& pred) const override {
-    if (idb_preds_->count(pred) > 0) return idb_->Find(pred);
-    return edb_->Find(pred);
-  }
-
-  const Relation* Delta(const PredicateId& pred) const override {
-    auto it = deltas_.find(pred);
-    return it == deltas_.end() ? nullptr : it->second;
-  }
-
-  void SetDelta(const PredicateId& pred, const Relation* delta) {
-    deltas_[pred] = delta;
-  }
-  void ClearDeltas() { deltas_.clear(); }
-
- private:
-  const Database* edb_;
-  Database* idb_;
-  const std::set<PredicateId>* idb_preds_;
-  std::map<PredicateId, const Relation*> deltas_;
-};
-
-struct RuleRunResult {
-  size_t derived = 0;
-  size_t duplicates = 0;
-};
-
 uint64_t NowNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -62,298 +18,11 @@ uint64_t NowNs() {
           .count());
 }
 
-/// Runs one rule execution with the derived tuples buffered into
-/// `buffer` (cleared first). Rules may scan the very relation they
-/// derive into (self-joins on the recursive predicate); inserting
-/// during the scan would invalidate row iterators and index buckets.
-/// The buffer is a flat TupleBuffer: one value arena, no per-tuple heap
-/// allocation. Plans come from `cache` (memoized per band signature),
-/// so rounds in an already-seen cardinality regime skip the planner;
-/// batch_size > 1 streams the join through the block-at-a-time
-/// executor, 1 is the legacy tuple-at-a-time path.
-void ExecuteBuffered(const PlannedRule& pr, PlanCacheInterface& cache,
-                     const RelationSource& source, int delta_literal,
-                     const EvalOptions& options, EvalStats* stats,
-                     TupleBuffer* buffer) {
-  const RuleExecutor& exec = pr.executor;
-  buffer->clear();
-  Result<RuleExecutor::PreparedPlan> plan =
-      cache.Get(exec, source, delta_literal, stats,
-                options.cardinality_planning,
-                /*skip_delta_index=*/false, /*partitioned=*/false,
-                options.planner);
-  if (!plan.ok()) return;  // Create() validated the rule; cannot fail
-  if (options.batch_size <= 1) {
-    exec.ExecutePlan(*plan, source, delta_literal,
-                     [buffer](RowRef t) { buffer->Append(t); }, stats);
-  } else {
-    exec.ExecutePlanBatched(
-        *plan, source, delta_literal,
-        [buffer](const TupleBuffer& block) { buffer->AppendAll(block); },
-        stats, options.batch_size, 0, RuleExecutor::kNoMorsel,
-        /*scratch=*/nullptr, ResolveSimdMode(options.simd));
-  }
-}
-
-/// Span name for one rule execution: the rule label when set (spans of
-/// the same rule then aggregate by name in the trace viewer).
-std::string_view RuleSpanName(const PlannedRule& pr) {
-  const std::string& label = pr.executor.rule().label();
-  return label.empty() ? std::string_view("rule") : std::string_view(label);
-}
-
-/// Key for EvalStats::per_rule.
-std::string RuleKey(const PlannedRule& pr) {
-  const std::string& label = pr.executor.rule().label();
-  return label.empty() ? pr.head.ToString() : label;
-}
-
-/// One traced rule execution: inserts into `target` (and `delta_target`
-/// for new tuples, when given), updates stats, and records a per-rule
-/// span carrying derived/duplicate counts. `buffer` is reusable
-/// caller-owned scratch (reset to the rule's head arity here).
-RuleRunResult RunRule(const PlannedRule& pr, PlanCacheInterface& cache,
-                      const RelationSource& source, int delta_literal,
-                      const EvalOptions& options, EvalStats* stats,
-                      Relation& target, Relation* delta_target,
-                      TupleBuffer* buffer) {
-  obs::TraceSpan span(RuleSpanName(pr));
-  const bool time_rule = stats != nullptr && options.collect_metrics;
-  const uint64_t start_ns = time_rule ? NowNs() : 0;
-  buffer->Reset(
-      static_cast<uint32_t>(pr.executor.rule().head().args().size()));
-  ExecuteBuffered(pr, cache, source, delta_literal, options, stats, buffer);
-  Relation::CommitCounts counts = target.Commit(*buffer, delta_target);
-  RuleRunResult result{counts.inserted, counts.duplicates};
-  span.AddArg("derived", static_cast<int64_t>(result.derived));
-  span.AddArg("duplicates", static_cast<int64_t>(result.duplicates));
-  if (stats != nullptr) {
-    stats->derived_tuples += result.derived;
-    stats->duplicate_tuples += result.duplicates;
-    if (time_rule) {
-      RuleStats& rs = stats->per_rule[RuleKey(pr)];
-      ++rs.applications;
-      rs.derived += result.derived;
-      rs.duplicates += result.duplicates;
-      rs.exec_ns += NowNs() - start_ns;
-    }
-  }
-  return result;
-}
-
-/// Round-granularity safety valves: iteration cap and wall-clock
-/// budget. `eval_start_ns` is the Evaluate entry time, so the budget
-/// covers the whole evaluation, not the current stratum.
-Status CheckRoundBudgets(size_t iterations, uint64_t eval_start_ns,
-                         const EvalOptions& options) {
-  if (options.max_iterations > 0 && iterations > options.max_iterations) {
-    return Status::FailedPrecondition(
-        StrCat("evaluation exceeded max_iterations=",
-               options.max_iterations));
-  }
-  if (options.budget_us > 0) {
-    const uint64_t elapsed_us = (NowNs() - eval_start_ns) / 1000;
-    if (elapsed_us > options.budget_us) {
-      return Status::FailedPrecondition(
-          StrCat("evaluation exceeded budget_us=", options.budget_us,
-                 " (elapsed ", elapsed_us, " us)"));
-    }
-  }
-  return Status::Ok();
-}
-
-Result<Database> EvaluateSerial(const Program& program, const Database& edb,
-                                const EvalOptions& options, EvalStats* stats) {
-  obs::TraceSpan eval_span("eval.serial");
-  const uint64_t eval_start_ns = NowNs();
-
-  SEMOPT_ASSIGN_OR_RETURN(std::vector<EvalComponent> components,
-                          PlanComponents(program));
-  std::set<PredicateId> idb_preds = program.IdbPredicates();
-
-  Database idb;
-  // Pre-create IDB relations so Find() works even for empty results.
-  for (const PredicateId& p : idb_preds) idb.GetOrCreate(p);
-
-  FixpointSource source(&edb, &idb, &idb_preds);
-  // Plans persist across rounds (and across the per-delta-occurrence
-  // executions within a round), memoized per log2 cardinality-band
-  // signature. A caller-owned session cache additionally persists them
-  // across evaluations; otherwise the cache lives for this one.
-  PlanCache local_plan_cache;
-  PlanCacheInterface& plan_cache =
-      options.plan_cache != nullptr ? *options.plan_cache : local_plan_cache;
-  // One derivation buffer for the whole evaluation: each rule run
-  // resets it, so steady-state rounds recycle its arena.
-  TupleBuffer rule_buffer(0);
-
-  // 1-based global round index across strata (RoundTiming labeling).
-  size_t global_round = 0;
-  // Appends the round just finished to the stats timeline.
-  auto record_round = [&](int64_t stratum, uint64_t round_start_ns,
-                          size_t delta_in, size_t delta_out, size_t derived) {
-    if (stats == nullptr) return;
-    RoundTiming rt;
-    rt.stratum = static_cast<size_t>(stratum);
-    rt.round = global_round;
-    rt.ns = NowNs() - round_start_ns;
-    rt.delta_in = delta_in;
-    rt.delta_out = delta_out;
-    rt.derived = derived;
-    stats->rounds.push_back(rt);
-    if (delta_out > stats->peak_delta_tuples) {
-      stats->peak_delta_tuples = delta_out;
-    }
-  };
-
-  int64_t component_index = -1;
-  for (const EvalComponent& component : components) {
-    ++component_index;
-    const std::vector<PlannedRule>& planned = component.rules;
-    if (planned.empty()) continue;  // EDB-only component
-
-    obs::TraceSpan stratum_span("stratum");
-    stratum_span.AddArg("index", component_index);
-    stratum_span.AddArg("rules", static_cast<int64_t>(planned.size()));
-    stratum_span.AddArg("recursive", component.recursive ? 1 : 0);
-
-    if (!component.recursive) {
-      // One pass suffices.
-      if (stats != nullptr) ++stats->iterations;
-      ++global_round;
-      const uint64_t round_start_ns = NowNs();
-      obs::TraceSpan round_span("round");
-      round_span.AddArg("round", 1);
-      size_t pass_derived = 0;
-      for (const PlannedRule& pr : planned) {
-        pass_derived += RunRule(pr, plan_cache, source, -1, options, stats,
-                                idb.GetOrCreate(pr.head),
-                                /*delta_target=*/nullptr, &rule_buffer)
-                            .derived;
-      }
-      record_round(component_index, round_start_ns, 0, 0, pass_derived);
-      continue;
-    }
-
-    if (options.strategy == EvalStrategy::kNaive) {
-      // Re-run all component rules on full relations until no change.
-      size_t local_iterations = 0;
-      bool changed = true;
-      while (changed) {
-        changed = false;
-        ++local_iterations;
-        if (stats != nullptr) ++stats->iterations;
-        ++global_round;
-        SEMOPT_RETURN_IF_ERROR(
-            CheckRoundBudgets(local_iterations, eval_start_ns, options));
-        const uint64_t round_start_ns = NowNs();
-        obs::TraceSpan round_span("round");
-        round_span.AddArg("round", static_cast<int64_t>(local_iterations));
-        size_t round_derived = 0;
-        for (const PlannedRule& pr : planned) {
-          RuleRunResult run =
-              RunRule(pr, plan_cache, source, -1, options, stats,
-                      idb.GetOrCreate(pr.head), /*delta_target=*/nullptr,
-                      &rule_buffer);
-          round_derived += run.derived;
-        }
-        changed = round_derived > 0;
-        round_span.AddArg("derived", static_cast<int64_t>(round_derived));
-        record_round(component_index, round_start_ns, 0, 0, round_derived);
-      }
-      continue;
-    }
-
-    // Semi-naive. Round 0: run every rule with deltas empty (recursive
-    // literals see the still-empty component relations, so only exit
-    // rules produce tuples unless lower components feed them).
-    std::map<PredicateId, std::unique_ptr<Relation>> delta;
-    std::map<PredicateId, std::unique_ptr<Relation>> next_delta;
-    for (const PredicateId& p : component.preds) {
-      delta[p] = std::make_unique<Relation>(p);
-      next_delta[p] = std::make_unique<Relation>(p);
-    }
-
-    if (stats != nullptr) ++stats->iterations;
-    ++global_round;
-    auto delta_total = [&]() {
-      size_t total = 0;
-      for (const auto& [p, rel] : delta) total += rel->size();
-      return total;
-    };
-    {
-      const uint64_t round_start_ns = NowNs();
-      obs::TraceSpan round_span("round");
-      round_span.AddArg("round", 1);
-      size_t seed_derived = 0;
-      for (const PlannedRule& pr : planned) {
-        seed_derived += RunRule(pr, plan_cache, source, -1, options, stats,
-                                idb.GetOrCreate(pr.head),
-                                delta[pr.head].get(), &rule_buffer)
-                            .derived;
-      }
-      record_round(component_index, round_start_ns, 0, delta_total(),
-                   seed_derived);
-    }
-
-    size_t local_iterations = 1;
-    size_t pending = delta_total();
-    while (pending > 0) {
-      ++local_iterations;
-      if (stats != nullptr) ++stats->iterations;
-      ++global_round;
-      SEMOPT_RETURN_IF_ERROR(
-          CheckRoundBudgets(local_iterations, eval_start_ns, options));
-
-      const uint64_t round_start_ns = NowNs();
-      obs::TraceSpan round_span("round");
-      round_span.AddArg("round", static_cast<int64_t>(local_iterations));
-      round_span.AddArg("delta_in", static_cast<int64_t>(pending));
-
-      size_t round_derived = 0;
-      for (const PlannedRule& pr : planned) {
-        if (pr.recursive_literals.empty()) continue;  // exit rule: done
-        Relation& target = idb.GetOrCreate(pr.head);
-        // One execution per recursive occurrence, reading delta there.
-        for (int lit_index : pr.recursive_literals) {
-          source.ClearDeltas();
-          // Only the chosen occurrence reads the delta; others read the
-          // full (current) relation, which is sound and complete.
-          for (const PredicateId& p : component.preds) {
-            source.SetDelta(p, delta[p].get());
-          }
-          round_derived +=
-              RunRule(pr, plan_cache, source, lit_index, options, stats,
-                      target, next_delta[pr.head].get(), &rule_buffer)
-                  .derived;
-        }
-      }
-      source.ClearDeltas();
-      // Arena double-buffer: Clear retains the old delta's arena and
-      // table capacity, and the swap moves pointers, so steady-state
-      // rounds recycle storage instead of reallocating it.
-      const size_t delta_in = pending;
-      for (const PredicateId& p : component.preds) {
-        delta[p]->Clear();
-        std::swap(delta[p], next_delta[p]);
-      }
-      pending = delta_total();
-      round_span.AddArg("delta_out", static_cast<int64_t>(pending));
-      record_round(component_index, round_start_ns, delta_in, pending,
-                   round_derived);
-    }
-    source.ClearDeltas();
-  }
-
-  return idb;
-}
-
 }  // namespace
 
 Status ValidateEvalOptions(const EvalOptions& options) {
   if (options.batch_size == 0) {
-    return Status::FailedPrecondition(
-        "batch_size must be >= 1 (1 = tuple-at-a-time)");
+    return Status::FailedPrecondition("batch_size must be >= 1");
   }
   if (options.num_threads > 256) {
     return Status::FailedPrecondition(
@@ -404,19 +73,14 @@ bool ResolveSimdMode(SimdMode mode) {
 Result<Database> Evaluate(const Program& program, const Database& edb,
                           const EvalOptions& options, EvalStats* stats) {
   SEMOPT_RETURN_IF_ERROR(ValidateEvalOptions(options));
-  // Honors EvalOptions::trace_path for both engines; when a session is
-  // already running (shell `:trace`) this is a no-op passthrough.
+  // Honors EvalOptions::trace_path; when a session is already running
+  // (shell `:trace`) this is a no-op passthrough.
   obs::ScopedTraceFile trace_file(options.trace_path);
-  // Coordinator-thread query attribution; the parallel engine re-opens
-  // the scope on each worker lane.
+  // Coordinator-thread query attribution; the engine re-opens the scope
+  // on each worker lane.
   obs::QueryIdScope qid_scope(options.query_id);
   const uint64_t start_ns = NowNs();
-
-  // num_threads == 1 is the serial path; anything else (including
-  // 0 = auto-detect) goes through the morsel-driven parallel evaluator.
-  Result<Database> result =
-      options.num_threads != 1 ? EvaluateParallel(program, edb, options, stats)
-                               : EvaluateSerial(program, edb, options, stats);
+  Result<Database> result = EvaluateMorsels(program, edb, options, stats);
   if (stats != nullptr) stats->eval_ns += NowNs() - start_ns;
   return result;
 }

@@ -38,25 +38,27 @@ struct EvalOptions {
   /// Plan joins with current relation cardinalities (default); false
   /// falls back to the size-blind static order (ablation bench A1).
   bool cardinality_planning = true;
-  /// Frame/head block size for the batched (block-at-a-time) rule
-  /// executor used by the fixpoint engines. 1 selects the legacy
-  /// tuple-at-a-time path (identical results, per-tuple dispatch);
-  /// larger values amortize sink dispatch and keep probe keys, filter
-  /// checks and negation membership tests in tight loops over
-  /// contiguous frames. The derived relations are identical either way.
+  /// Frame/head block size of the batched (block-at-a-time) rule
+  /// executor the fixpoint engine and incremental maintenance run
+  /// through. Larger values amortize sink dispatch and keep probe keys,
+  /// filter checks and negation membership tests in tight loops over
+  /// contiguous frames. It sets only the block size: the derived
+  /// relations and logical counters are identical at every value.
   size_t batch_size = 1024;
-  /// Worker threads for evaluation. 1 (default) = the serial path;
-  /// 0 = one per hardware thread; N > 1 = morsel-driven parallel
-  /// fixpoint (src/exec/), whose results are set-equal to serial.
+  /// Lanes of the morsel-driven fixpoint engine (src/exec/): 1
+  /// (default) runs every rule execution as one task on the calling
+  /// thread; 0 = one lane per hardware thread; N > 1 carves each
+  /// round's work into morsels across N lanes. The fixpoint is the same
+  /// at every value.
   size_t num_threads = 1;
-  /// Rows per morsel for the parallel engine: each round the frozen
-  /// delta (or the driving literal's relation) is carved into
+  /// Rows per morsel when more than one lane runs: each round the
+  /// frozen delta (or the driving literal's relation) is carved into
   /// contiguous row ranges of this size, pulled by workers off a shared
   /// cursor. 0 (default) = auto: max(batch_size, 64), so a morsel fills
   /// at least one executor block and stays coarse enough that the
   /// per-morsel claim (one atomic increment) never dominates. Explicit
-  /// values below 8 are rejected by ValidateEvalOptions. Ignored when
-  /// num_threads == 1.
+  /// values below 8 are rejected by ValidateEvalOptions. Ignored at one
+  /// lane.
   size_t morsel_size = 0;
   /// Vectorized executor paths (see SimdMode). kAuto resolves against
   /// the build flag and the SEMOPT_DISABLE_SIMD environment variable.
@@ -89,13 +91,13 @@ struct EvalOptions {
   uint64_t budget_us = 0;
   /// Slow-query threshold, microseconds: a query whose end-to-end time
   /// reaches it is mirrored into the server's slow-query log. The
-  /// engines ignore this field — it rides on EvalOptions so the
+  /// engine ignores this field — it rides on EvalOptions so the
   /// session/shell `:set`-style plumbing configures it per session; 0 =
   /// use the query log's default threshold.
   uint64_t slow_query_us = 0;
-  /// Query id for observability attribution. The engines open an
+  /// Query id for observability attribution. Evaluate opens an
   /// obs::QueryIdScope with it, so every trace span recorded during the
-  /// evaluation — including on parallel worker lanes — carries a "qid"
+  /// evaluation — including on worker lanes — carries a "qid"
   /// arg. 0 = unattributed.
   uint64_t query_id = 0;
   /// Caller-owned session plan cache (see eval/plan_cache.h), borrowed
@@ -120,8 +122,8 @@ struct EvalOptions {
 /// (auto) or >= 8 (a smaller morsel makes the shared-cursor claim the
 /// dominant cost), simd != kOn when the build or environment disabled
 /// the SIMD kernels, planner one of the known PlannerMode values (the
-/// message lists the valid modes, matching the `:simd` UX). Both
-/// Evaluate entry points call this first.
+/// message lists the valid modes, matching the `:simd` UX). Evaluate
+/// calls this first.
 Status ValidateEvalOptions(const EvalOptions& options);
 
 /// Resolves `mode` to "use the vectorized paths?": kAuto defers to

@@ -84,8 +84,7 @@ std::string RuleBaseName(const Rule& rule) {
 
 /// Runs one maintenance rule execution through the plan cache and the
 /// batched executor, appending every derived head row (multiset — dedup
-/// happens at the commit) to `out`. Mirrors the fixpoint engine's
-/// ExecuteBuffered: batch_size 1 selects the tuple-at-a-time path.
+/// happens at the commit) to `out`.
 void RunDelta(const RuleExecutor& exec, PlanCacheInterface& cache,
               const RelationSource& source, int delta_literal,
               const EvalOptions& options, EvalStats* stats,
@@ -95,20 +94,14 @@ void RunDelta(const RuleExecutor& exec, PlanCacheInterface& cache,
   // batch to batch; fine sub-1024 bands would re-plan forever.
   Result<RuleExecutor::PreparedPlan> plan =
       cache.Get(exec, source, delta_literal, stats,
-                options.cardinality_planning,
-                /*skip_delta_index=*/false, /*partitioned=*/false,
+                options.cardinality_planning, /*partitioned=*/false,
                 options.planner, /*coarse_bands=*/true);
   if (!plan.ok()) return;  // Create() validated the rule; cannot fail
-  if (options.batch_size <= 1) {
-    exec.ExecutePlan(*plan, source, delta_literal,
-                     [out](RowRef t) { out->Append(t); }, stats);
-  } else {
-    exec.ExecutePlanBatched(
-        *plan, source, delta_literal,
-        [out](const TupleBuffer& block) { out->AppendAll(block); }, stats,
-        options.batch_size, 0, RuleExecutor::kNoMorsel,
-        /*scratch=*/nullptr, ResolveSimdMode(options.simd));
-  }
+  exec.ExecutePlanBatched(
+      *plan, source, delta_literal,
+      [out](const TupleBuffer& block) { out->AppendAll(block); }, stats,
+      options.batch_size, 0, RuleExecutor::kNoMorsel,
+      /*scratch=*/nullptr, ResolveSimdMode(options.simd));
 }
 
 /// The per-predicate delta relation in `map`, created on first use.

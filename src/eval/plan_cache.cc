@@ -66,12 +66,11 @@ void PlanCache::EvictToCap() {
 
 Result<RuleExecutor::PreparedPlan> PlanCache::Get(
     const RuleExecutor& exec, const RelationSource& source, int delta_literal,
-    EvalStats* stats, bool size_aware, bool skip_delta_index,
-    bool partitioned, PlannerMode planner, bool coarse_bands) {
+    EvalStats* stats, bool size_aware, bool partitioned, PlannerMode planner,
+    bool coarse_bands) {
   Key key{exec.rule().ToString(), delta_literal,
           static_cast<uint8_t>(
-              (size_aware ? 1 : 0) | (skip_delta_index ? 2 : 0) |
-              (partitioned ? 4 : 0) |
+              (size_aware ? 1 : 0) | (partitioned ? 4 : 0) |
               (planner == PlannerMode::kCost ? 8 : 0) |
               (coarse_bands ? 16 : 0)),
           Signature(exec, source, delta_literal, coarse_bands)};
@@ -85,16 +84,14 @@ Result<RuleExecutor::PreparedPlan> PlanCache::Get(
     // double-buffers swap relation objects between rounds (and a
     // repeated evaluation starts from fresh relations entirely):
     // repair any index the current source's relations are missing.
-    exec.EnsurePlanIndexes(it->second.plan, source, delta_literal,
-                           skip_delta_index);
+    exec.EnsurePlanIndexes(it->second.plan, source, delta_literal);
     return it->second.plan;
   }
   ++misses_;
   if (stats != nullptr) ++stats->plan_cache_misses;
   SEMOPT_ASSIGN_OR_RETURN(
       RuleExecutor::PreparedPlan plan,
-      exec.Prepare(source, delta_literal, size_aware, skip_delta_index,
-                   partitioned, planner));
+      exec.Prepare(source, delta_literal, size_aware, partitioned, planner));
   auto [inserted_it, _] = entries_.emplace(std::move(key), Entry{plan, {}});
   lru_.push_front(&inserted_it->first);
   inserted_it->second.lru_it = lru_.begin();

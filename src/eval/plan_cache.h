@@ -13,7 +13,7 @@
 
 namespace semopt {
 
-/// The plan-memo surface the fixpoint engines plan through: either the
+/// The plan-memo surface the fixpoint engine plans through: either the
 /// single-threaded session PlanCache below, or the sharded-mutex
 /// SharedPlanCache (eval/shared_plan_cache.h) that many concurrent
 /// sessions share. EvalOptions::plan_cache points at one of these.
@@ -36,7 +36,7 @@ class PlanCacheInterface {
   virtual Result<RuleExecutor::PreparedPlan> Get(
       const RuleExecutor& exec, const RelationSource& source,
       int delta_literal, EvalStats* stats, bool size_aware = true,
-      bool skip_delta_index = false, bool partitioned = false,
+      bool partitioned = false,
       PlannerMode planner = PlannerMode::kGreedy,
       bool coarse_bands = false) = 0;
 
@@ -98,7 +98,7 @@ class PlanCache : public PlanCacheInterface {
   Result<RuleExecutor::PreparedPlan> Get(
       const RuleExecutor& exec, const RelationSource& source,
       int delta_literal, EvalStats* stats, bool size_aware = true,
-      bool skip_delta_index = false, bool partitioned = false,
+      bool partitioned = false,
       PlannerMode planner = PlannerMode::kGreedy,
       bool coarse_bands = false) override;
 
@@ -121,9 +121,9 @@ class PlanCache : public PlanCacheInterface {
     std::string rule;
     int delta_literal;
     /// Planner inputs beyond cardinalities: bit 0 = size_aware,
-    /// bit 1 = skip_delta_index, bit 2 = partitioned (morsel regime),
-    /// bit 3 = cost planner (PlannerMode::kCost ordered the joins),
-    /// bit 4 = coarse bands (sub-1024 sizes collapsed into one band).
+    /// bit 2 = partitioned (multi-lane morsel regime), bit 3 = cost
+    /// planner (PlannerMode::kCost ordered the joins), bit 4 = coarse
+    /// bands (sub-1024 sizes collapsed into one band). Bit 1 is unused.
     uint8_t flags;
     /// ⌊log2⌋ band per body literal (relational literals delta-aware;
     /// non-relational hold a fixed sentinel).

@@ -361,7 +361,7 @@ void RuleExecutor::FuseBatchChecks(Plan* plan, int delta_literal) {
 
 Result<RuleExecutor::PreparedPlan> RuleExecutor::Prepare(
     const RelationSource& source, int delta_literal, bool size_aware,
-    bool skip_delta_index, bool partition, PlannerMode planner) const {
+    bool partition, PlannerMode planner) const {
   // Separates plan/index time from join time in traces: "plan" spans
   // are coordinator work, rule-label spans are execution work.
   obs::TraceSpan span("plan");
@@ -449,12 +449,17 @@ Result<RuleExecutor::PreparedPlan> RuleExecutor::Prepare(
     // Mark the driving step: the first positive relational step — the
     // rotated delta occurrence when there is one (the rotation makes
     // the delta the first positive step by construction), else the
-    // plan's natural outermost scan. Bodies with no positive
-    // relational step leave driving_step at -1 (nothing to carve).
+    // plan's natural outermost scan. With no delta, a first step that
+    // probes (constants bind its columns) stays unmarked: carving it
+    // would turn one index lookup into a full scan split in morsels.
+    // Bodies with no positive relational step leave driving_step at -1
+    // (nothing to carve).
     for (size_t i = 0; i < plan.steps.size(); ++i) {
       const LiteralStep& s = plan.steps[i];
       if (!s.is_comparison && !s.negated) {
-        plan.driving_step = static_cast<int>(i);
+        if (delta_literal >= 0 || s.probe_columns.empty()) {
+          plan.driving_step = static_cast<int>(i);
+        }
         break;
       }
     }
@@ -462,7 +467,7 @@ Result<RuleExecutor::PreparedPlan> RuleExecutor::Prepare(
            plan.steps[static_cast<size_t>(plan.driving_step)]
                    .original_index == static_cast<size_t>(delta_literal));
   }
-  EnsureProbeIndexes(plan, source, delta_literal, skip_delta_index);
+  EnsureProbeIndexes(plan, source, delta_literal);
   PreparedPlan prepared;
   prepared.plan_ = std::make_shared<const Plan>(std::move(plan));
   return prepared;
@@ -470,15 +475,13 @@ Result<RuleExecutor::PreparedPlan> RuleExecutor::Prepare(
 
 void RuleExecutor::EnsurePlanIndexes(const PreparedPlan& plan,
                                      const RelationSource& source,
-                                     int delta_literal,
-                                     bool skip_delta_index) const {
-  EnsureProbeIndexes(*plan.plan_, source, delta_literal, skip_delta_index);
+                                     int delta_literal) const {
+  EnsureProbeIndexes(*plan.plan_, source, delta_literal);
 }
 
 void RuleExecutor::EnsureProbeIndexes(const Plan& plan,
                                       const RelationSource& source,
-                                      int delta_literal,
-                                      bool skip_delta_index) const {
+                                      int delta_literal) const {
   for (size_t i = 0; i < plan.steps.size(); ++i) {
     const LiteralStep& step = plan.steps[i];
     if (step.is_comparison || step.negated) continue;
@@ -491,7 +494,6 @@ void RuleExecutor::EnsureProbeIndexes(const Plan& plan,
     bool is_delta_step =
         delta_literal >= 0 &&
         step.original_index == static_cast<size_t>(delta_literal);
-    if (is_delta_step && skip_delta_index) continue;
     const Relation* rel = nullptr;
     if (is_delta_step) rel = source.Delta(step.pred);
     if (rel == nullptr) rel = source.Full(step.pred);
@@ -607,8 +609,7 @@ std::string RuleExecutor::DescribePlan(const PreparedPlan& plan,
 void RuleExecutor::ExecutePlan(const PreparedPlan& plan,
                                const RelationSource& source,
                                int delta_literal, const TupleSink& sink,
-                               EvalStats* stats, size_t morsel_begin,
-                               size_t morsel_end) const {
+                               EvalStats* stats) const {
   if (stats != nullptr) ++stats->rule_applications;
   const Plan& p = *plan.plan_;
   // All working state for the whole scan, allocated once: the inner
@@ -619,19 +620,17 @@ void RuleExecutor::ExecutePlan(const PreparedPlan& plan,
   ctx.newly_bound.resize(p.scratch_size);
   ctx.scratch_row.reserve(p.max_row_width);
   ctx.literal_bindings.assign(rule_.body().size(), 0);
-  ctx.morsel_begin = morsel_begin;
-  ctx.morsel_end = morsel_end;
   ExecuteStep(p, source, delta_literal, 0, &ctx, sink, stats);
-  RecordFeedback(p, source, delta_literal, ctx.literal_bindings,
-                 morsel_begin, morsel_end);
+  RecordFeedback(p, source, delta_literal, ctx.literal_bindings, 0,
+                 kNoMorsel);
 }
 
 void RuleExecutor::Execute(const RelationSource& source, int delta_literal,
                            const TupleSink& sink, EvalStats* stats,
                            bool size_aware, PlannerMode planner) const {
   Result<PreparedPlan> plan =
-      Prepare(source, delta_literal, size_aware,
-              /*skip_delta_index=*/false, /*partition=*/false, planner);
+      Prepare(source, delta_literal, size_aware, /*partition=*/false,
+              planner);
   if (!plan.ok()) return;  // Create() validated; cannot fail here
   ExecutePlan(*plan, source, delta_literal, sink, stats);
 }
@@ -783,8 +782,8 @@ void RuleExecutor::ExecuteStep(const Plan& plan,
     for (size_t k = 0; k < n_newly; ++k) ctx->bound[newly[k]] = 0;
   };
 
-  // The driving step of a partitioned plan always scans (its probe
-  // index is never built) and honors the context's morsel row range.
+  // The driving step of a partitioned plan always scans: its probe
+  // index is never built.
   const bool is_driving = plan.driving_step == static_cast<int>(step_index);
   if (!is_driving && !step.probe_columns.empty()) {
     // Gather the probe key into the scratch row; Probe hashes it in
@@ -800,9 +799,7 @@ void RuleExecutor::ExecuteStep(const Plan& plan,
     }
   } else {
     const size_t n = relation->size();
-    const size_t begin = is_driving ? std::min(ctx->morsel_begin, n) : 0;
-    const size_t end = is_driving ? std::min(ctx->morsel_end, n) : n;
-    for (size_t i = begin; i < end; ++i) try_row(relation->row(i));
+    for (size_t i = 0; i < n; ++i) try_row(relation->row(i));
   }
 }
 
@@ -1148,7 +1145,7 @@ void RuleExecutor::RunBatchFrom(const Plan& plan,
   // (its probe index is never built) restricted to the context's
   // morsel row range; `scan_checks` re-validates what a probe would
   // have guaranteed, so the match set — and the `bindings` counter —
-  // is identical to the serial probe execution, just split across
+  // is identical to the unrestricted probe execution, just split across
   // morsels.
   const bool is_driving =
       plan.driving_step >= 0 &&

@@ -10,6 +10,7 @@
 #include "ast/rule.h"
 #include "eval/cost_planner.h"
 #include "eval/eval_stats.h"
+#include "storage/database.h"
 #include "storage/relation.h"
 #include "util/result.h"
 #include "util/simd.h"
@@ -26,6 +27,23 @@ class RelationSource {
   virtual ~RelationSource() = default;
   virtual const Relation* Full(const PredicateId& pred) const = 0;
   virtual const Relation* Delta(const PredicateId& pred) const = 0;
+};
+
+/// A RelationSource over one database and no deltas: `Full` is
+/// `db->Find`, `Delta` is always null. Plans and probes "just this
+/// database" (constraint checks, `:plan`, `:profile` plans, tests).
+class DatabaseSource : public RelationSource {
+ public:
+  explicit DatabaseSource(const Database* db) : db_(db) {}
+  const Relation* Full(const PredicateId& pred) const override {
+    return db_->Find(pred);
+  }
+  const Relation* Delta(const PredicateId&) const override {
+    return nullptr;
+  }
+
+ private:
+  const Database* db_;
 };
 
 /// Receives each head tuple derived by a rule execution as a zero-copy
@@ -109,10 +127,10 @@ class RuleExecutor {
   /// derived head tuple is passed to `sink`. `stats` may be null.
   /// `size_aware` selects cardinality-aware planning (default); pass
   /// false to use the size-blind static order (ablation bench A1).
-  /// Equivalent to Prepare + ExecutePlan. This per-tuple entry point is
-  /// the compatibility surface for explain/incremental/constraint-check
-  /// callers; the fixpoint engines go through Prepare +
-  /// ExecutePlanBatched.
+  /// Equivalent to Prepare + ExecutePlan. This per-tuple entry point
+  /// serves constraint checks and runtime residues, and is the batched
+  /// executor's reference in tests; the fixpoint engine and incremental
+  /// maintenance go through Prepare + ExecutePlanBatched.
   void Execute(const RelationSource& source, int delta_literal,
                const TupleSink& sink, EvalStats* stats,
                bool size_aware = true,
@@ -123,21 +141,21 @@ class RuleExecutor {
   /// This is the single point where evaluation mutates shared index
   /// state, so it must not run concurrently with ExecutePlan on the
   /// same relations; call it from the coordinator between rounds.
-  /// When `skip_delta_index` is true the `delta_literal` step's index
-  /// is left to the caller (legacy partitioned mode indexed each
-  /// worker's private delta slice).
   ///
-  /// `partition` selects the morsel-partitionable plan shape for the
-  /// parallel engine: the delta occurrence (when there is one) is
-  /// forced to the front of the join order and marked as the plan's
-  /// *driving* step; with no delta the plan's first positive step is
-  /// marked instead. Morsels then carve the driving relation's row
-  /// range across workers, so no other literal is ever re-scanned per
-  /// task (the E8 binding-blowup). The driving step is executed as a
-  /// range scan, so its probe index is intentionally NOT built — a
-  /// partitioned plan must be executed with a morsel range, and must
-  /// never be replayed by the serial engine (the plan cache keys on
-  /// `partition` for exactly this reason).
+  /// `partition` selects the morsel-partitionable plan shape the
+  /// fixpoint engine uses when it runs more than one lane: the delta
+  /// occurrence (when there is one) is forced to the front of the join
+  /// order and marked as the plan's *driving* step; with no delta the
+  /// plan's first positive step is marked instead, but only when it is
+  /// a full scan (no probe columns) — a constant-bound first step is a
+  /// point lookup, cheaper probed once than scanned in morsels, so such
+  /// plans stay driverless and run as one unrestricted task. Morsels
+  /// carve the driving relation's row range across workers, so no
+  /// other literal is ever re-scanned per task (the E8 binding-blowup).
+  /// The driving step is executed as a range scan, so its probe index
+  /// is intentionally NOT built — a partitioned plan must be executed
+  /// with a morsel range, and must never be replayed as a one-lane
+  /// plan (the plan cache keys on `partition` for exactly this reason).
   /// `planner` selects the join-order planner: kGreedy keeps the
   /// one-pass heuristic; kCost runs CostPlanner::Enumerate over the
   /// positive relational literals (falling back to greedy outside its
@@ -149,7 +167,6 @@ class RuleExecutor {
   /// order.
   Result<PreparedPlan> Prepare(const RelationSource& source,
                                int delta_literal, bool size_aware = true,
-                               bool skip_delta_index = false,
                                bool partition = false,
                                PlannerMode planner = PlannerMode::kGreedy)
       const;
@@ -161,25 +178,16 @@ class RuleExecutor {
   /// must still patch up an index missing on the freshly-swapped
   /// buffer. Same single-threaded coordinator contract as Prepare.
   void EnsurePlanIndexes(const PreparedPlan& plan,
-                         const RelationSource& source, int delta_literal,
-                         bool skip_delta_index = false) const;
+                         const RelationSource& source,
+                         int delta_literal) const;
 
-  /// Executes a prepared plan tuple-at-a-time. Strictly read-only on
-  /// the relations of `source` (all probed indexes exist by the Prepare
-  /// contract), so concurrent calls with distinct sinks/stats are
-  /// thread-safe.
-  ///
-  /// `[morsel_begin, morsel_end)` restricts the plan's driving step
-  /// (Prepare with `partition`) to that row range of its relation —
-  /// one morsel of the morsel-driven parallel engine. The union of the
-  /// executions over a partition of the driving relation's rows equals
-  /// the unrestricted execution (every derivation extends exactly one
-  /// driving row), with the logical counters splitting exactly. The
-  /// defaults leave unpartitioned plans untouched.
+  /// Executes a prepared plan tuple-at-a-time over whole relations.
+  /// Strictly read-only on the relations of `source` (all probed
+  /// indexes exist by the Prepare contract), so concurrent calls with
+  /// distinct sinks/stats are thread-safe.
   void ExecutePlan(const PreparedPlan& plan, const RelationSource& source,
-                   int delta_literal, const TupleSink& sink, EvalStats* stats,
-                   size_t morsel_begin = 0,
-                   size_t morsel_end = kNoMorsel) const;
+                   int delta_literal, const TupleSink& sink,
+                   EvalStats* stats) const;
 
   /// Executes a prepared plan block-at-a-time: every LiteralStep
   /// consumes a flat block of up to `batch_size` frames and emits the
@@ -188,14 +196,19 @@ class RuleExecutor {
   /// identical logical counters (bindings/comparisons), in a different
   /// (breadth-first) order. Same thread-safety contract as ExecutePlan.
   /// `delta_literal` must be the value the plan was prepared with, or —
-  /// when it was prepared with -1 — the plan's FirstPositiveStep (the
-  /// parallel partitioner's split), which the batch lowering never
-  /// fuses away.
+  /// when it was prepared with -1 — the plan's FirstPositiveStep, which
+  /// the batch lowering never fuses away.
   ///
-  /// `[morsel_begin, morsel_end)` is the driving-step row range (see
-  /// ExecutePlan). `scratch`, when given, is reused working state —
-  /// pass one per worker lane so a stream of morsel executions stops
-  /// allocating once buffers reach steady-state capacity.
+  /// `[morsel_begin, morsel_end)` restricts the plan's driving step
+  /// (Prepare with `partition`) to that row range of its relation —
+  /// one morsel of the multi-lane fixpoint engine. The union of the
+  /// executions over a partition of the driving relation's rows equals
+  /// the unrestricted execution (every derivation extends exactly one
+  /// driving row), with the logical counters splitting exactly. The
+  /// defaults leave unpartitioned plans untouched. `scratch`, when
+  /// given, is reused working state — pass one per worker lane so a
+  /// stream of morsel executions stops allocating once buffers reach
+  /// steady-state capacity.
   ///
   /// `vectorize` enables the data-parallel step implementations:
   /// selection-vector comparison filters, batch-hashed negation
@@ -203,7 +216,7 @@ class RuleExecutor {
   /// (ColumnView + SIMD kernel) scan checks. The derived blocks and
   /// logical counters are bit-identical either way — only the
   /// evaluation schedule changes. The default follows the build/env
-  /// gate; the fixpoint engines pass ResolveSimdMode(options.simd).
+  /// gate; the fixpoint engine passes ResolveSimdMode(options.simd).
   void ExecutePlanBatched(const PreparedPlan& plan,
                           const RelationSource& source, int delta_literal,
                           const BatchSink& sink, EvalStats* stats,
@@ -215,19 +228,17 @@ class RuleExecutor {
 
   /// The original-body index of the driving step a partitioned Prepare
   /// marked (the literal whose relation morsels carve up), or -1 for
-  /// plans prepared without `partition` and for bodies with no
-  /// positive relational step.
+  /// plans prepared without `partition`, for delta-less plans whose
+  /// first positive step probes, and for bodies with no positive
+  /// relational step.
   int DrivingLiteral(const PreparedPlan& plan) const;
 
   /// The original-body index of the first positive relational step in
-  /// `plan`'s order, or -1 if the body has none. The parallel evaluator
-  /// partitions this (outermost-scanned) literal's relation when there
-  /// is no delta to partition.
+  /// `plan`'s order, or -1 if the body has none (plan inspection).
   int FirstPositiveStep(const PreparedPlan& plan) const;
 
   /// The columns `plan` probes at the step for original-body literal
-  /// `literal_index` (empty = full scan there). Workers use this to
-  /// index private delta partitions before ExecutePlan.
+  /// `literal_index` (empty = full scan there; plan inspection).
   std::vector<uint32_t> ProbeColumnsFor(const PreparedPlan& plan,
                                         int literal_index) const;
 
@@ -384,9 +395,6 @@ class RuleExecutor {
     // execution (the per-literal split of bindings_explored; feeds the
     // cost planner's feedback fold).
     std::vector<uint64_t> literal_bindings;
-    // Driving-step row range (morsel); kNoMorsel = unrestricted.
-    size_t morsel_begin = 0;
-    size_t morsel_end = kNoMorsel;
   };
 
   /// A flat row-major block of execution frames (`rows * slot_count_`
@@ -468,7 +476,7 @@ class RuleExecutor {
   /// will read (delta-aware). The one mutation point of shared storage
   /// during evaluation; see Prepare.
   void EnsureProbeIndexes(const Plan& plan, const RelationSource& source,
-                          int delta_literal, bool skip_delta_index) const;
+                          int delta_literal) const;
 
   /// Batch lowering pass (Prepare): folds each contiguous run of
   /// non-binding, non-delta relational steps into the closest preceding

@@ -38,7 +38,7 @@ class SharedPlanCache : public PlanCacheInterface {
   Result<RuleExecutor::PreparedPlan> Get(
       const RuleExecutor& exec, const RelationSource& source,
       int delta_literal, EvalStats* stats, bool size_aware = true,
-      bool skip_delta_index = false, bool partitioned = false,
+      bool partitioned = false,
       PlannerMode planner = PlannerMode::kGreedy,
       bool coarse_bands = false) override;
 

@@ -76,14 +76,15 @@ class SnapshotSource : public RelationSource {
   const Relation* delta_rel_ = nullptr;
 };
 
-/// One rule application of a round. The plan is prepared in partitioned
-/// mode: its driving step (the rotated delta occurrence, or the first
-/// positive step when the execution has no delta) is executed as a
-/// range scan, and morsels carve that relation's row range across
-/// workers. Every worker executes the SAME plan against the SAME frozen
-/// relations — only the driving row range differs per morsel — so no
-/// literal is ever re-scanned per task and the logical counters split
-/// exactly across morsels.
+/// One rule application of a round. With more than one lane the plan is
+/// prepared in partitioned mode: its driving step (the rotated delta
+/// occurrence, or a full-scan first positive step when the execution
+/// has no delta) is executed as a range scan, and morsels carve that
+/// relation's row range across workers. Every worker executes the SAME
+/// plan against the SAME frozen relations — only the driving row range
+/// differs per morsel — so no literal is ever re-scanned per task and
+/// the logical counters split exactly across morsels. With one lane the
+/// plan is unpartitioned and the execution is one unrestricted task.
 struct Execution {
   const PlannedRule* rule = nullptr;
   /// Original-body index of the delta occurrence; -1 = read all Full.
@@ -92,8 +93,9 @@ struct Execution {
   const Relation* delta_rel = nullptr;
   PredicateId delta_pred{0, 0};
   RuleExecutor::PreparedPlan plan;
-  /// Original-body index of the plan's driving step; -1 when the body
-  /// has no positive relational literal (run as one unrestricted task).
+  /// Original-body index of the plan's driving step; -1 when the plan
+  /// has none (one lane, a probed first step, or no positive relational
+  /// literal): the execution runs as one unrestricted task.
   int driving_literal = -1;
   /// The relation morsels carve (the delta when the driving step IS the
   /// delta occurrence, else that literal's full relation).
@@ -133,11 +135,26 @@ struct alignas(64) WorkerState {
   std::vector<uint64_t> exec_ns;
 };
 
-/// Span name for one morsel: the rule's label when set, so per-rule
-/// lanes aggregate by name in the trace viewer.
-std::string_view MorselSpanName(const Execution& exec) {
+/// What every round of one evaluation shares: the pool, the plan cache,
+/// the frozen inputs, the IDB being built, and the per-lane state. The
+/// lanes' sinks and scratch persist across rounds, so steady-state
+/// rounds reuse their capacity instead of regrowing it.
+struct Engine {
+  ThreadPool& pool;
+  PlanCacheInterface& plan_cache;
+  const Database& edb;
+  Database& idb;
+  const std::set<PredicateId>& idb_preds;
+  const EvalOptions& options;
+  EvalStats* stats;
+  std::vector<WorkerState> workers;
+};
+
+/// Span name for one task: the rule's label when set, so a rule's tasks
+/// aggregate by name in the trace viewer.
+std::string_view TaskSpanName(const Execution& exec) {
   const std::string& label = exec.rule->executor.rule().label();
-  return label.empty() ? std::string_view("morsel") : std::string_view(label);
+  return label.empty() ? std::string_view("rule") : std::string_view(label);
 }
 
 /// Key for EvalStats::per_rule.
@@ -147,21 +164,29 @@ std::string ExecRuleKey(const Execution& exec) {
 }
 
 /// Executes one round, morsel-driven: plans every execution against the
-/// frozen state (partitioned plans; driving literal marked), carves
-/// each driving relation into ~morsel_size row ranges, lets worker
-/// lanes pull morsels off the pool's shared cursor and stream them
-/// through the batched executor into per-(lane, execution) hashed
-/// sinks, then merges the sinks into `idb` (and `next_delta` if given)
-/// with one owner per head relation reusing the worker hashes. Returns
-/// true when any new tuple was inserted. `round` is the 1-based global
-/// round index (trace/stats labeling).
+/// frozen state, carves each driving relation into ~morsel_size row
+/// ranges, lets worker lanes pull morsels off the pool's shared cursor
+/// and stream them through the batched executor into per-(lane,
+/// execution) hashed sinks, then merges the sinks into `idb` (and
+/// `next_delta` if given) with one owner per head relation reusing the
+/// worker hashes. Returns true when any new tuple was inserted. `round`
+/// is the 1-based global round index (trace/stats labeling).
+///
+/// One lane is the degenerate case: plans are prepared unpartitioned
+/// and every execution is one unrestricted task. Carving only pays when
+/// there is another lane to hand a morsel to; a partitioned plan forces
+/// the delta to the front of the join order, which at one lane can cost
+/// more bindings than the order the planner prefers.
 Result<bool> RunRound(
-    ThreadPool& pool, PlanCacheInterface& plan_cache, const Database& edb,
-    Database& idb, const std::set<PredicateId>& idb_preds,
-    std::vector<Execution>& execs,
+    Engine& engine, std::vector<Execution>& execs,
     std::map<PredicateId, std::unique_ptr<Relation>>* next_delta,
-    const EvalOptions& options, EvalStats* stats, size_t round,
-    size_t stratum, size_t delta_in) {
+    size_t round, size_t stratum, size_t delta_in) {
+  ThreadPool& pool = engine.pool;
+  const Database& edb = engine.edb;
+  Database& idb = engine.idb;
+  const std::set<PredicateId>& idb_preds = engine.idb_preds;
+  const EvalOptions& options = engine.options;
+  EvalStats* stats = engine.stats;
   const uint64_t round_start_ns = NowNs();
   // Appends the finished round to the stats timeline (always when stats
   // are collected; feeds the per-query log).
@@ -180,17 +205,19 @@ Result<bool> RunRound(
     }
   };
   const size_t lanes = pool.num_threads();
+  const bool partitioned = lanes > 1;
   const size_t morsel_size = ResolveMorselSize(options);
   SnapshotSource planning_source(&edb, &idb, &idb_preds);
 
-  obs::TraceSpan round_span("parallel.round");
+  obs::TraceSpan round_span("round");
   round_span.AddArg("round", static_cast<int64_t>(round));
   round_span.AddArg("workers", static_cast<int64_t>(lanes));
+  round_span.AddArg("delta_in", static_cast<int64_t>(delta_in));
 
   // Plan and pre-build indexes, single-threaded, then carve morsels.
   std::vector<Morsel> morsels;
   {
-    obs::TraceSpan plan_span("parallel.plan");
+    obs::TraceSpan plan_span("plan");
     plan_span.AddArg("executions", static_cast<int64_t>(execs.size()));
     for (size_t e = 0; e < execs.size(); ++e) {
       Execution& exec = execs[e];
@@ -209,14 +236,14 @@ Result<bool> RunRound(
       // morsel range scan).
       SEMOPT_ASSIGN_OR_RETURN(
           exec.plan,
-          plan_cache.Get(executor, planning_source, exec.delta_literal,
-                         stats, options.cardinality_planning,
-                         /*skip_delta_index=*/false, /*partitioned=*/true,
-                         options.planner));
+          engine.plan_cache.Get(executor, planning_source,
+                                exec.delta_literal, stats,
+                                options.cardinality_planning, partitioned,
+                                options.planner));
       exec.driving_literal = executor.DrivingLiteral(exec.plan);
       if (exec.driving_literal < 0) {
-        // No positive relational step (constant-only body): one
-        // unrestricted task.
+        // Nothing to carve (unpartitioned plan, probed first step, or
+        // constant-only body): one unrestricted task.
         morsels.push_back(Morsel{e, 0, RuleExecutor::kNoMorsel});
         continue;
       }
@@ -238,7 +265,6 @@ Result<bool> RunRound(
     }
     plan_span.AddArg("morsels", static_cast<int64_t>(morsels.size()));
   }
-  round_span.AddArg("morsels", static_cast<int64_t>(morsels.size()));
   if (morsels.empty()) {
     record_round(0, 0);
     return false;
@@ -256,12 +282,16 @@ Result<bool> RunRound(
   // Per-lane state: sinks per execution, one reusable batch scratch,
   // private stats. Lanes are stable, so the worker phase touches no
   // shared mutable state at all.
-  std::vector<WorkerState> workers(lanes);
+  std::vector<WorkerState>& workers = engine.workers;
   for (WorkerState& ws : workers) {
+    ws.stats = EvalStats();
+    ws.morsels = 0;
+    ws.steals = 0;
     ws.sinks.resize(execs.size());
     if (options.collect_metrics) ws.exec_ns.assign(execs.size(), 0);
     for (size_t e = 0; e < execs.size(); ++e) {
       ws.sinks[e].rows.Reset(execs[e].rule->head.arity);
+      ws.sinks[e].hashes.clear();
     }
   }
 
@@ -284,7 +314,7 @@ Result<bool> RunRound(
           // static contiguous split would have assigned it to — the
           // load balancing a fixed partition scheme forgoes.
           if (i * lanes / total_morsels != lane) ++ws.steals;
-          obs::TraceSpan span(MorselSpanName(exec));
+          obs::TraceSpan span(TaskSpanName(exec));
           span.AddArg("lane", static_cast<int64_t>(lane));
           span.AddArg("rows", m.end == RuleExecutor::kNoMorsel
                                   ? int64_t{-1}
@@ -294,32 +324,22 @@ Result<bool> RunRound(
             source.SetDelta(exec.delta_pred, exec.delta_rel);
           }
           HashedRows& sink = ws.sinks[m.exec_index];
-          if (options.batch_size <= 1) {
-            exec.rule->executor.ExecutePlan(
-                exec.plan, source, exec.delta_literal,
-                [&sink](RowRef t) {
-                  sink.rows.Append(t);
-                  sink.hashes.push_back(HashValues(t));
-                },
-                &ws.stats, m.begin, m.end);
-          } else {
-            exec.rule->executor.ExecutePlanBatched(
-                exec.plan, source, exec.delta_literal,
-                [&sink](const TupleBuffer& block) {
-                  sink.rows.AppendAll(block);
-                  // Hash the whole (flat) head block with the batch
-                  // kernel — this is the worker-side share of the
-                  // commit cost, off the serial merge path.
-                  const size_t n = block.size();
-                  if (n == 0) return;
-                  const size_t base = sink.hashes.size();
-                  sink.hashes.resize(base + n);
-                  HashValuesBatch(block.row(0).data(), block.arity(), n,
-                                  sink.hashes.data() + base);
-                },
-                &ws.stats, options.batch_size, m.begin, m.end, &ws.scratch,
-                ResolveSimdMode(options.simd));
-          }
+          exec.rule->executor.ExecutePlanBatched(
+              exec.plan, source, exec.delta_literal,
+              [&sink](const TupleBuffer& block) {
+                sink.rows.AppendAll(block);
+                // Hash the whole (flat) head block with the batch
+                // kernel — this is the worker-side share of the commit
+                // cost, off the single-owner merge path.
+                const size_t n = block.size();
+                if (n == 0) return;
+                const size_t base = sink.hashes.size();
+                sink.hashes.resize(base + n);
+                HashValuesBatch(block.row(0).data(), block.arity(), n,
+                                sink.hashes.data() + base);
+              },
+              &ws.stats, options.batch_size, m.begin, m.end, &ws.scratch,
+              ResolveSimdMode(options.simd));
           if (options.collect_metrics) {
             ws.exec_ns[m.exec_index] += NowNs() - morsel_start_ns;
           }
@@ -343,11 +363,11 @@ Result<bool> RunRound(
     // merge worker), folded into totals and per-rule stats afterwards.
     std::vector<size_t> exec_inserted(execs.size(), 0);
     std::vector<size_t> exec_duplicate(execs.size(), 0);
-    obs::TraceSpan merge_span("parallel.merge");
+    obs::TraceSpan merge_span("merge");
     merge_span.AddArg("owners", static_cast<int64_t>(owners.size()));
     SEMOPT_RETURN_IF_ERROR(pool.ParallelFor(
         owners.size(), [&](size_t j) -> Status {
-          obs::TraceSpan owner_span("merge");
+          obs::TraceSpan owner_span("commit");
           const PredicateId& pred = owners[j].first;
           Relation* target = idb.FindMutable(pred);
           // at(): the component pre-created every delta relation, and
@@ -422,19 +442,20 @@ Result<bool> RunRound(
       }
     }
   }
-  round_span.AddArg("changed", changed ? 1 : 0);
   size_t delta_out = 0;
   if (next_delta != nullptr) {
     // next_delta only holds this round's insertions (the caller clears
     // and swaps per round), so its total IS the produced delta.
     for (const auto& [p, rel] : *next_delta) delta_out += rel->size();
   }
+  round_span.AddArg("delta_out", static_cast<int64_t>(delta_out));
+  round_span.AddArg("derived", static_cast<int64_t>(round_derived));
   record_round(delta_out, round_derived);
   return changed;
 }
 
 /// Round-granularity safety valves: iteration cap and wall-clock
-/// budget (elapsed since `eval_start_ns`, the EvaluateParallel entry).
+/// budget (elapsed since `eval_start_ns`, the engine's entry).
 Status CheckRoundBudgets(size_t iterations, uint64_t eval_start_ns,
                          const EvalOptions& options) {
   if (options.max_iterations > 0 && iterations > options.max_iterations) {
@@ -455,16 +476,10 @@ Status CheckRoundBudgets(size_t iterations, uint64_t eval_start_ns,
 
 }  // namespace
 
-Result<Database> EvaluateParallel(const Program& program, const Database& edb,
-                                  const EvalOptions& options,
-                                  EvalStats* stats) {
-  SEMOPT_RETURN_IF_ERROR(ValidateEvalOptions(options));
-  // Direct callers (not routed through Evaluate) still honor
-  // EvalOptions::trace_path; no-op when a session is already active.
-  obs::ScopedTraceFile trace_file(options.trace_path);
-  // Coordinator attribution (workers re-open the scope per morsel).
-  obs::QueryIdScope qid_scope(options.query_id);
-  obs::TraceSpan eval_span("eval.parallel");
+Result<Database> EvaluateMorsels(const Program& program, const Database& edb,
+                                 const EvalOptions& options,
+                                 EvalStats* stats) {
+  obs::TraceSpan eval_span("eval");
   const uint64_t eval_start_ns = NowNs();
 
   ThreadPool pool(ResolveNumThreads(options));
@@ -484,6 +499,8 @@ Result<Database> EvaluateParallel(const Program& program, const Database& edb,
   Database idb;
   // Pre-create IDB relations so concurrent Find() never mutates.
   for (const PredicateId& p : idb_preds) idb.GetOrCreate(p);
+  Engine engine{pool, plan_cache, edb, idb, idb_preds, options, stats,
+                std::vector<WorkerState>(pool.num_threads())};
 
   size_t global_round = 0;
   int64_t component_index = -1;
@@ -508,14 +525,13 @@ Result<Database> EvaluateParallel(const Program& program, const Database& edb,
     };
 
     if (!component.recursive) {
-      // One (parallel) pass suffices.
+      // One pass suffices.
       if (stats != nullptr) ++stats->iterations;
       ++global_round;
       std::vector<Execution> execs = all_rules();
-      Result<bool> pass = RunRound(
-          pool, plan_cache, edb, idb, idb_preds, execs,
-          /*next_delta=*/nullptr, options, stats, global_round,
-          static_cast<size_t>(component_index), /*delta_in=*/0);
+      Result<bool> pass =
+          RunRound(engine, execs, /*next_delta=*/nullptr, global_round,
+                   static_cast<size_t>(component_index), /*delta_in=*/0);
       if (!pass.ok()) return pass.status();
       continue;
     }
@@ -534,8 +550,7 @@ Result<Database> EvaluateParallel(const Program& program, const Database& edb,
         std::vector<Execution> execs = all_rules();
         SEMOPT_ASSIGN_OR_RETURN(
             changed,
-            RunRound(pool, plan_cache, edb, idb, idb_preds, execs,
-                     /*next_delta=*/nullptr, options, stats, global_round,
+            RunRound(engine, execs, /*next_delta=*/nullptr, global_round,
                      static_cast<size_t>(component_index), /*delta_in=*/0));
       }
       continue;
@@ -556,10 +571,9 @@ Result<Database> EvaluateParallel(const Program& program, const Database& edb,
     ++global_round;
     {
       std::vector<Execution> execs = all_rules();
-      Result<bool> seeded = RunRound(
-          pool, plan_cache, edb, idb, idb_preds, execs, &delta, options,
-          stats, global_round, static_cast<size_t>(component_index),
-          /*delta_in=*/0);
+      Result<bool> seeded =
+          RunRound(engine, execs, &delta, global_round,
+                   static_cast<size_t>(component_index), /*delta_in=*/0);
       if (!seeded.ok()) return seeded.status();
     }
 
@@ -591,9 +605,9 @@ Result<Database> EvaluateParallel(const Program& program, const Database& edb,
           execs.push_back(std::move(e));
         }
       }
-      Result<bool> round = RunRound(
-          pool, plan_cache, edb, idb, idb_preds, execs, &next_delta, options,
-          stats, global_round, static_cast<size_t>(component_index), pending);
+      Result<bool> round =
+          RunRound(engine, execs, &next_delta, global_round,
+                   static_cast<size_t>(component_index), pending);
       if (!round.ok()) return round.status();
       // Arena double-buffer: Clear keeps capacity, swap moves pointers;
       // steady-state rounds recycle delta storage without reallocating.

@@ -21,34 +21,41 @@ size_t ResolveNumThreads(const EvalOptions& options);
 /// negligible.
 size_t ResolveMorselSize(const EvalOptions& options);
 
-/// Morsel-driven parallel bottom-up evaluation: components in
-/// topological order, each evaluated in synchronous rounds. Each round
-/// freezes the database state, prepares one partitioned plan per rule
-/// execution — the delta occurrence rotated to the front of the join
-/// order and marked as the *driving* step (the first positive literal
-/// drives when there is no delta) — and carves the driving relation
-/// into contiguous row ranges of ~morsel_size rows. Worker lanes pull
-/// morsels off the thread pool's shared atomic cursor (dynamic load
-/// balancing; uneven morsel costs even out automatically), run each
-/// through the batched executor with a per-lane reusable scratch, and
-/// buffer derived rows with precomputed hashes in per-(lane, execution)
-/// sinks. A sharded merge phase — one owner per head relation — then
-/// commits the sinks into the IDB and next delta, reusing the worker
-/// hashes for the dedup probes.
+/// The fixpoint engine behind `Evaluate` (eval/fixpoint.h), the only
+/// one there is: morsel-driven bottom-up evaluation. Components run in
+/// topological order, each in synchronous rounds. Each round freezes
+/// the database state and prepares one plan per rule execution. With
+/// more than one lane the plans are partitioned — the delta occurrence
+/// rotated to the front of the join order and marked as the *driving*
+/// step (a full-scan first positive literal drives when there is no
+/// delta) — and the driving relation is carved into contiguous row
+/// ranges of ~morsel_size rows. Worker lanes pull morsels off the
+/// thread pool's shared atomic cursor (dynamic load balancing; uneven
+/// morsel costs even out automatically), run each through the batched
+/// executor with a per-lane reusable scratch, and buffer derived rows
+/// with precomputed hashes in per-(lane, execution) sinks. A sharded
+/// merge phase — one owner per head relation — then commits the sinks
+/// into the IDB and next delta, reusing the worker hashes for the
+/// dedup probes.
+///
+/// One lane (`num_threads == 1`, the library, shell and server default)
+/// is the same loop with unpartitioned plans: every execution is one
+/// unrestricted task on the calling thread, so one thread runs the join
+/// orders the planner prefers and spawns nothing.
 ///
 /// Because morsels partition the plan's actual outermost scan, no body
 /// literal is ever re-scanned per task: join-work counters (`bindings`)
-/// are invariant in the thread count, and the serial-vs-parallel work
-/// ratio stays 1 (the old hash-partitioned engine re-scanned leading
-/// literals per partition and paid a per-round partition/copy cycle).
+/// are invariant in the thread count once it exceeds one.
 ///
-/// The result is set-equal to the serial `Evaluate` (rows may be
-/// derived in a different order and per-round visibility differs, but
-/// the fixpoint is the same; tests assert this property). Normally
-/// reached through `Evaluate` with `options.num_threads != 1`.
-Result<Database> EvaluateParallel(const Program& program, const Database& edb,
-                                  const EvalOptions& options,
-                                  EvalStats* stats);
+/// Every round reads the state frozen at its start, so the fixpoint —
+/// not the row order — is the contract: at every thread count and batch
+/// size it equals the naive stratified model (tests check this against
+/// a test-side reference evaluator). Callers use `Evaluate`, which
+/// validates the options, honors `trace_path` and `query_id`, and times
+/// the evaluation before delegating here.
+Result<Database> EvaluateMorsels(const Program& program, const Database& edb,
+                                 const EvalOptions& options,
+                                 EvalStats* stats);
 
 }  // namespace semopt
 

@@ -14,7 +14,7 @@ namespace obs {
 
 /// Identity of one query execution, threaded from the session command
 /// processor through admission, snapshot pinning, planning and the
-/// fixpoint engines: a process-monotonic query id (also tagged onto
+/// fixpoint engine: a process-monotonic query id (also tagged onto
 /// every trace span via QueryIdScope, so Chrome traces of an N-session
 /// run attribute by query), the owning session's id, and the query's
 /// wall-clock budget (0 = unlimited; enforced per fixpoint round via

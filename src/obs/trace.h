@@ -126,8 +126,8 @@ inline void TraceInstant(std::string_view name) {
 /// records carries a "qid" arg, which is what makes a Chrome trace of
 /// an N-session server run attributable query by query. Scopes nest
 /// (the previous id is restored on destruction); id 0 means
-/// "unattributed" and adds nothing. The parallel engine opens one per
-/// morsel on each worker lane from EvalOptions::query_id, so worker
+/// "unattributed" and adds nothing. The fixpoint engine opens one per
+/// task on each worker lane from EvalOptions::query_id, so worker
 /// spans attribute to the query that scheduled them.
 class QueryIdScope {
  public:

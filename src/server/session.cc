@@ -273,7 +273,7 @@ std::string SessionCommandProcessor::RunQueryProfiled(
   last_query_ = source;
 
   // Every span recorded on this thread during the query (including the
-  // admission wait) carries the query id; the parallel engine re-opens
+  // admission wait) carries the query id; the fixpoint engine re-opens
   // the scope on its worker lanes from EvalOptions::query_id.
   obs::QueryIdScope qid_scope(profile.ctx.query_id);
 
@@ -447,8 +447,8 @@ commands:
   :dump FILE               save every relation as a binary snapshot
   :load FILE               bulk-load a binary snapshot (made by :dump)
   .stats [on|off]          show evaluation statistics with query answers
-  :threads [N]             evaluate with N threads (1 = serial, 0 = auto)
-  :batch [N]               batched executor block size (1 = per-tuple)
+  :threads [N]             evaluate with N lanes (default 1, 0 = auto)
+  :batch [N]               batched executor block size (default 1024)
   :simd [on|off|auto]      vectorized executor kernels (auto = detect)
   :planner [greedy|cost]   join-order planner (cost = enumerated from
                            sizes/distincts + runtime feedback)
@@ -641,13 +641,12 @@ std::string SessionCommandProcessor::CmdThreads(
                     " detected, morsel-parallel)");
     }
     return StrCat("threads ", eval_options_.num_threads,
-                  eval_options_.num_threads == 1 ? " (serial)"
-                                                 : " (morsel-parallel)");
+                  eval_options_.num_threads == 1 ? "" : " (morsel-parallel)");
   }
   char* end = nullptr;
   long n = std::strtol(args[0].c_str(), &end, 10);
   if (end == args[0].c_str() || *end != '\0' || n < 0) {
-    return "usage: :threads N  (0 = auto-detect, 1 = serial, max 256)";
+    return "usage: :threads N  (0 = auto-detect, default 1, max 256)";
   }
   // Validate the full combination centrally; on rejection surface the
   // validator's message and keep the previous setting.
@@ -662,20 +661,18 @@ std::string SessionCommandProcessor::CmdThreads(
                   " detected, morsel-parallel)");
   }
   return StrCat("threads ", eval_options_.num_threads,
-                eval_options_.num_threads == 1 ? " (serial)"
-                                               : " (morsel-parallel)");
+                eval_options_.num_threads == 1 ? "" : " (morsel-parallel)");
 }
 
 std::string SessionCommandProcessor::CmdBatch(
     const std::vector<std::string>& args) {
   if (args.empty()) {
-    return StrCat("batch ", eval_options_.batch_size,
-                  eval_options_.batch_size <= 1 ? " (per-tuple)" : "");
+    return StrCat("batch ", eval_options_.batch_size);
   }
   char* end = nullptr;
   long n = std::strtol(args[0].c_str(), &end, 10);
   if (end == args[0].c_str() || *end != '\0' || n < 0 || n > 1048576) {
-    return "usage: :batch N  (1 = per-tuple, default 1024, max 1048576)";
+    return "usage: :batch N  (rows per block, default 1024, max 1048576)";
   }
   EvalOptions candidate = eval_options_;
   candidate.batch_size = static_cast<size_t>(n);
@@ -683,8 +680,7 @@ std::string SessionCommandProcessor::CmdBatch(
     return s.ToString();
   }
   eval_options_ = candidate;
-  return StrCat("batch ", eval_options_.batch_size,
-                eval_options_.batch_size <= 1 ? " (per-tuple)" : "");
+  return StrCat("batch ", eval_options_.batch_size);
 }
 
 std::string SessionCommandProcessor::CmdPlan(
@@ -706,19 +702,7 @@ std::string SessionCommandProcessor::CmdPlan(
   // Plan against the current EDB cardinalities; IDB relations are not
   // materialized here, so they count as empty (the order shown for a
   // fresh evaluation's first rounds).
-  class EdbSource : public RelationSource {
-   public:
-    explicit EdbSource(const Database* edb) : edb_(edb) {}
-    const Relation* Full(const PredicateId& pred) const override {
-      return edb_->Find(pred);
-    }
-    const Relation* Delta(const PredicateId&) const override {
-      return nullptr;
-    }
-
-   private:
-    const Database* edb_;
-  } source(&edb);
+  DatabaseSource source(&edb);
 
   std::ostringstream os;
   size_t shown = 0;
@@ -731,8 +715,7 @@ std::string SessionCommandProcessor::CmdPlan(
       ++shown;
       Result<RuleExecutor::PreparedPlan> plan = pr.executor.Prepare(
           source, -1, eval_options_.cardinality_planning,
-          /*skip_delta_index=*/false, /*partition=*/false,
-          eval_options_.planner);
+          /*partition=*/false, eval_options_.planner);
       if (!plan.ok()) {
         os << plan.status().ToString() << "\n";
         continue;
@@ -741,8 +724,7 @@ std::string SessionCommandProcessor::CmdPlan(
       for (int lit_index : pr.recursive_literals) {
         Result<RuleExecutor::PreparedPlan> delta_plan = pr.executor.Prepare(
             source, lit_index, eval_options_.cardinality_planning,
-            /*skip_delta_index=*/false, /*partition=*/false,
-            eval_options_.planner);
+            /*partition=*/false, eval_options_.planner);
         if (!delta_plan.ok()) continue;
         os << "with delta on body literal " << lit_index << ":\n"
            << pr.executor.DescribePlan(*delta_plan, lit_index) << "\n";

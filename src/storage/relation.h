@@ -97,9 +97,9 @@ class Relation {
   /// Bulk-inserts a derivation block: each row is hashed once (in short
   /// runs that prefetch the dedup slot it will probe) and the hash is
   /// reused across the full insert and the `delta_target` insert for
-  /// rows that were new. This is the fixpoint engines' single commit
-  /// path — serial rounds call it directly, the parallel merge phase
-  /// calls CommitHashed with worker-precomputed hashes.
+  /// rows that were new. Incremental maintenance commits through it;
+  /// the fixpoint engine's merge phase calls CommitHashed with
+  /// worker-precomputed hashes.
   CommitCounts Commit(const TupleBuffer& rows, Relation* delta_target);
 
   /// Commit with every row's HashValues hash precomputed by the caller

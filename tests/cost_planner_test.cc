@@ -170,18 +170,6 @@ TEST(CostPlannerTest, FeedbackCorrectionFlipsTheChosenOrder) {
 
 // --- Prepare integration ---
 
-class DbSource : public RelationSource {
- public:
-  explicit DbSource(const Database* db) : db_(db) {}
-  const Relation* Full(const PredicateId& pred) const override {
-    return db_->Find(pred);
-  }
-  const Relation* Delta(const PredicateId&) const override { return nullptr; }
-
- private:
-  const Database* db_;
-};
-
 /// src/hub/filt with hub smallest but fanning out on B: greedy's
 /// smallest-relation tie-break opens with hub; the cost planner starts
 /// from src and keeps hub last.
@@ -204,14 +192,14 @@ Database FanOutDatabase() {
 TEST(CostPlannerPrepareTest, CostOrderDivergesFromGreedyAndIsAnnotated) {
   CostFeedback::Global().Reset();
   Database db = FanOutDatabase();
-  DbSource source(&db);
+  DatabaseSource source(&db);
   Result<RuleExecutor> exec = RuleExecutor::Create(
       MustParseRule("q(A, C) :- src(A, B), hub(B, C), filt(A, C)"));
   ASSERT_TRUE(exec.ok());
 
   Result<RuleExecutor::PreparedPlan> greedy = exec->Prepare(
-      source, -1, /*size_aware=*/true, /*skip_delta_index=*/false,
-      /*partition=*/false, PlannerMode::kGreedy);
+      source, -1, /*size_aware=*/true, /*partition=*/false,
+      PlannerMode::kGreedy);
   ASSERT_TRUE(greedy.ok());
   const std::string greedy_text = exec->DescribePlan(*greedy);
   EXPECT_NE(greedy_text.find("1. hub(B, C)"), std::string::npos)
@@ -221,8 +209,8 @@ TEST(CostPlannerPrepareTest, CostOrderDivergesFromGreedyAndIsAnnotated) {
   EXPECT_EQ(greedy_text.find("est~"), std::string::npos) << greedy_text;
 
   Result<RuleExecutor::PreparedPlan> cost = exec->Prepare(
-      source, -1, /*size_aware=*/true, /*skip_delta_index=*/false,
-      /*partition=*/false, PlannerMode::kCost);
+      source, -1, /*size_aware=*/true, /*partition=*/false,
+      PlannerMode::kCost);
   ASSERT_TRUE(cost.ok());
   const std::string cost_text = exec->DescribePlan(*cost);
   EXPECT_NE(cost_text.find("1. src(A, B)"), std::string::npos) << cost_text;
@@ -242,13 +230,13 @@ TEST(CostPlannerPrepareTest, CostOrderDivergesFromGreedyAndIsAnnotated) {
 TEST(CostPlannerPrepareTest, SingleLiteralRuleFallsBackToGreedy) {
   CostFeedback::Global().Reset();
   Database db = FanOutDatabase();
-  DbSource source(&db);
+  DatabaseSource source(&db);
   Result<RuleExecutor> exec =
       RuleExecutor::Create(MustParseRule("p(A) :- src(A, B)"));
   ASSERT_TRUE(exec.ok());
   Result<RuleExecutor::PreparedPlan> plan = exec->Prepare(
-      source, -1, /*size_aware=*/true, /*skip_delta_index=*/false,
-      /*partition=*/false, PlannerMode::kCost);
+      source, -1, /*size_aware=*/true, /*partition=*/false,
+      PlannerMode::kCost);
   ASSERT_TRUE(plan.ok());
   const std::string text = exec->DescribePlan(*plan);
   EXPECT_NE(text.find("planner: cost (greedy fallback)"), std::string::npos)

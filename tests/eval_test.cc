@@ -22,6 +22,7 @@ using testing_util::MustParseFacts;
 using testing_util::MustParseRule;
 using testing_util::RelationRows;
 using testing_util::RelationSize;
+using testing_util::ReferenceEvaluate;
 
 TEST(BuiltinsTest, CompareValues) {
   EXPECT_LT(CompareValues(Term::Int(1), Term::Int(2)), 0);
@@ -57,25 +58,12 @@ TEST(BuiltinsTest, EvalComparisonLiteral) {
       EvalComparison(Literal::Relational(Atom("p", {}))).ok());
 }
 
-// A RelationSource over a single database, for executor tests.
-class DbSource : public RelationSource {
- public:
-  explicit DbSource(const Database* db) : db_(db) {}
-  const Relation* Full(const PredicateId& pred) const override {
-    return db_->Find(pred);
-  }
-  const Relation* Delta(const PredicateId&) const override { return nullptr; }
-
- private:
-  const Database* db_;
-};
-
 std::vector<std::string> RunRule(const Rule& rule, const Database& db) {
   Result<RuleExecutor> exec = RuleExecutor::Create(rule);
   EXPECT_TRUE(exec.ok()) << exec.status();
   std::vector<std::string> out;
   if (!exec.ok()) return out;
-  DbSource source(&db);
+  DatabaseSource source(&db);
   exec->Execute(source, -1,
                 [&](RowRef t) { out.push_back(TupleToString(t)); },
                 nullptr);
@@ -209,7 +197,7 @@ void ExpectBatchedMatchesPerTuple(const Rule& rule, const Database& db,
                                   const RelationSource* custom = nullptr) {
   Result<RuleExecutor> exec = RuleExecutor::Create(rule);
   ASSERT_TRUE(exec.ok()) << exec.status();
-  DbSource db_source(&db);
+  DatabaseSource db_source(&db);
   const RelationSource& source = custom != nullptr ? *custom : db_source;
   EvalStats reference_stats;
   std::vector<std::string> reference =
@@ -285,7 +273,7 @@ TEST(BatchedExecutorTest, ArityZeroHeadEmitsOncePerBinding) {
   Result<RuleExecutor> exec =
       RuleExecutor::Create(MustParseRule("ok() :- n(X), X > 1"));
   ASSERT_TRUE(exec.ok());
-  DbSource source(&db);
+  DatabaseSource source(&db);
   EXPECT_EQ(RunRuleBatched(*exec, source, -1, 2),
             (std::vector<std::string>{"()", "()"}));
 }
@@ -370,7 +358,7 @@ Database FusionDb() {
 
 TEST(BatchFusionTest, TrailingSemiJoinFusesIntoHostStep) {
   Database db = FusionDb();
-  DbSource source(&db);
+  DatabaseSource source(&db);
   Rule rule = MustParseRule("p(X, Y) :- small(X, Y), check(X)");
   Result<RuleExecutor> exec = RuleExecutor::Create(rule);
   ASSERT_TRUE(exec.ok());
@@ -388,7 +376,7 @@ TEST(BatchFusionTest, TrailingSemiJoinFusesIntoHostStep) {
 
 TEST(BatchFusionTest, NegatedCheckFusesIntoHostStep) {
   Database db = FusionDb();
-  DbSource source(&db);
+  DatabaseSource source(&db);
   Rule rule = MustParseRule("p(X, Y) :- small(X, Y), not nope(X)");
   Result<RuleExecutor> exec = RuleExecutor::Create(rule);
   ASSERT_TRUE(exec.ok());
@@ -409,7 +397,7 @@ TEST(BatchFusionTest, ComparisonBreaksTheFusionRun) {
   // host (comparison counters must stay bit-identical to per-tuple
   // execution), so the check survives as its own batch step.
   Database db = FusionDb();
-  DbSource source(&db);
+  DatabaseSource source(&db);
   Rule rule = MustParseRule("p(X, Y) :- small(X, Y), X != Y, check(X)");
   Result<RuleExecutor> exec = RuleExecutor::Create(rule);
   ASSERT_TRUE(exec.ok());
@@ -430,7 +418,7 @@ TEST(BatchFusionTest, DeltaOccurrenceIsNeverFused) {
   Database db = FusionDb();
   db.AddTuple("m", {Term::Sym("a"), Term::Sym("b")});
   db.AddTuple("m", {Term::Sym("c"), Term::Sym("a")});
-  DbSource source(&db);
+  DatabaseSource source(&db);
   Rule rule = MustParseRule("p(X, Y) :- small(X, Y), m(X, Y)");
   Result<RuleExecutor> exec = RuleExecutor::Create(rule);
   ASSERT_TRUE(exec.ok());
@@ -449,7 +437,7 @@ TEST(BatchFusionTest, DeltaOccurrenceIsNeverFused) {
 
 TEST(PlanApiTest, FirstPositiveStepAndProbeColumns) {
   Database db = MustParseFacts("e(a, b). e(b, c). n(1).");
-  DbSource source(&db);
+  DatabaseSource source(&db);
 
   // Join: the second e occurrence probes on its bound first column.
   Result<RuleExecutor> join =
@@ -483,7 +471,7 @@ TEST(PlanApiTest, FirstPositiveStepAndProbeColumns) {
 
 TEST(PlanApiTest, DescribePlanShowsAccessPathsAndDelta) {
   Database db = MustParseFacts("e(a, b). t(a, b).");
-  DbSource source(&db);
+  DatabaseSource source(&db);
   Result<RuleExecutor> exec =
       RuleExecutor::Create(MustParseRule("t(X, Y) :- t(X, Z), e(Z, Y)"));
   ASSERT_TRUE(exec.ok());
@@ -500,7 +488,7 @@ TEST(PlanCacheTest, MemoizesPerBandSignature) {
   for (int i = 0; i < 9; ++i) {  // size 9: log2 band 4 covers 8..15
     db.AddTuple("e", {Term::Int(i), Term::Int(i + 1)});
   }
-  DbSource source(&db);
+  DatabaseSource source(&db);
   Result<RuleExecutor> exec =
       RuleExecutor::Create(MustParseRule("p(X, Z) :- e(X, Y), e(Y, Z)"));
   ASSERT_TRUE(exec.ok());
@@ -533,7 +521,7 @@ TEST(PlanCacheTest, MemoizesPerBandSignature) {
   for (int i = 0; i < 9; ++i) {
     db_small.AddTuple("e", {Term::Int(i), Term::Int(i + 1)});
   }
-  DbSource source_small(&db_small);
+  DatabaseSource source_small(&db_small);
   ASSERT_TRUE(cache.Get(*exec, source_small, -1, &stats).ok());
   EXPECT_EQ(cache.hits(), 4u);
   EXPECT_EQ(cache.misses(), 2u);
@@ -554,7 +542,7 @@ TEST(PlanCacheTest, CoarseBandsCollapseSmallSizesIntoOneKey) {
   // costs microseconds — so the second batch onward always hits.
   Database db;
   db.AddTuple("e", {Term::Int(0), Term::Int(1)});
-  DbSource source(&db);
+  DatabaseSource source(&db);
   Result<RuleExecutor> exec =
       RuleExecutor::Create(MustParseRule("p(X, Z) :- e(X, Y), e(Y, Z)"));
   ASSERT_TRUE(exec.ok());
@@ -563,8 +551,7 @@ TEST(PlanCacheTest, CoarseBandsCollapseSmallSizesIntoOneKey) {
   EvalStats stats;
   auto get = [&](bool coarse) {
     return cache.Get(*exec, source, -1, &stats, /*size_aware=*/true,
-                     /*skip_delta_index=*/false, /*partitioned=*/false,
-                     PlannerMode::kGreedy, coarse);
+                     /*partitioned=*/false, PlannerMode::kGreedy, coarse);
   };
   ASSERT_TRUE(get(true).ok());
   EXPECT_EQ(cache.misses(), 1u);
@@ -587,40 +574,39 @@ TEST(PlanCacheTest, CoarseBandsCollapseSmallSizesIntoOneKey) {
   // fine banding is its own key (flag bit + band signature differ).
   Database db2;
   db2.AddTuple("e", {Term::Int(0), Term::Int(1)});
-  DbSource source2(&db2);
+  DatabaseSource source2(&db2);
   ASSERT_TRUE(cache
                   .Get(*exec, source2, -1, &stats, /*size_aware=*/true,
-                       /*skip_delta_index=*/false, /*partitioned=*/false,
-                       PlannerMode::kGreedy, /*coarse_bands=*/false)
+                       /*partitioned=*/false, PlannerMode::kGreedy,
+                       /*coarse_bands=*/false)
                   .ok());
   EXPECT_EQ(cache.misses(), 3u);
 }
 
 TEST(PlanCacheTest, PartitionRegimeIsPartOfTheKey) {
-  // A session that switches between serial and morsel-parallel
-  // evaluation must never replay a partitioned plan serially (its
-  // driving step deliberately lacks a probe index) or vice versa: the
-  // two regimes are distinct cache entries that coexist.
+  // A session that switches between one lane and several must never
+  // replay a partitioned plan at one lane (its driving step
+  // deliberately lacks a probe index) or vice versa: the two regimes
+  // are distinct cache entries that coexist.
   Database db = MustParseFacts("e(a, b). e(b, c). t(a, b).");
-  DbSource source(&db);
+  DatabaseSource source(&db);
   Result<RuleExecutor> exec =
       RuleExecutor::Create(MustParseRule("t(X, Z) :- e(X, Y), t(Y, Z)"));
   ASSERT_TRUE(exec.ok());
 
   PlanCache cache;
   EvalStats stats;
-  Result<RuleExecutor::PreparedPlan> serial =
+  Result<RuleExecutor::PreparedPlan> one_lane =
       cache.Get(*exec, source, 1, &stats);
-  ASSERT_TRUE(serial.ok());
+  ASSERT_TRUE(one_lane.ok());
   EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(exec->DrivingLiteral(*serial), -1);
+  EXPECT_EQ(exec->DrivingLiteral(*one_lane), -1);
 
   // Same rule, same delta, same bands — the partitioned regime still
   // misses and produces the morsel shape (delta rotated to the front
   // and marked driving).
   Result<RuleExecutor::PreparedPlan> partitioned = cache.Get(
-      *exec, source, 1, &stats, /*size_aware=*/true,
-      /*skip_delta_index=*/false, /*partitioned=*/true);
+      *exec, source, 1, &stats, /*size_aware=*/true, /*partitioned=*/true);
   ASSERT_TRUE(partitioned.ok());
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.hits(), 0u);
@@ -629,7 +615,7 @@ TEST(PlanCacheTest, PartitionRegimeIsPartOfTheKey) {
 
   // Each regime keeps hitting its own entry.
   ASSERT_TRUE(cache.Get(*exec, source, 1, &stats).ok());
-  ASSERT_TRUE(cache.Get(*exec, source, 1, &stats, true, false, true).ok());
+  ASSERT_TRUE(cache.Get(*exec, source, 1, &stats, true, true).ok());
   EXPECT_EQ(cache.hits(), 2u);
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.size(), 2u);
@@ -641,7 +627,7 @@ TEST(PlanCacheTest, PlannerRegimeIsPartOfTheKey) {
   // regime's join order: greedy and cost plans for the same
   // (rule, delta, bands) are distinct entries that coexist.
   Database db = MustParseFacts("e(a, b). e(b, c). t(a, b).");
-  DbSource source(&db);
+  DatabaseSource source(&db);
   Result<RuleExecutor> exec =
       RuleExecutor::Create(MustParseRule("t(X, Z) :- e(X, Y), t(Y, Z)"));
   ASSERT_TRUE(exec.ok());
@@ -653,16 +639,16 @@ TEST(PlanCacheTest, PlannerRegimeIsPartOfTheKey) {
 
   // Same rule, same delta, same bands — the cost regime still misses.
   ASSERT_TRUE(cache.Get(*exec, source, -1, &stats, /*size_aware=*/true,
-                        /*skip_delta_index=*/false, /*partitioned=*/false,
-                        PlannerMode::kCost).ok());
+                        /*partitioned=*/false, PlannerMode::kCost).ok());
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.size(), 2u);
 
   // Each regime keeps hitting its own entry.
   ASSERT_TRUE(cache.Get(*exec, source, -1, &stats).ok());
-  ASSERT_TRUE(cache.Get(*exec, source, -1, &stats, true, false, false,
-                        PlannerMode::kCost).ok());
+  ASSERT_TRUE(
+      cache.Get(*exec, source, -1, &stats, true, false, PlannerMode::kCost)
+          .ok());
   EXPECT_EQ(cache.hits(), 2u);
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.size(), 2u);
@@ -702,7 +688,7 @@ TEST(PlanCacheTest, EvictsLeastRecentlyUsedBeyondTheCap) {
   // Distinct rules are distinct entries; a cap of 2 keeps only the two
   // most recently touched plans and counts each eviction.
   Database db = MustParseFacts("e(a, b). w(a, b). v(a, b).");
-  DbSource source(&db);
+  DatabaseSource source(&db);
   auto make_exec = [&](const char* text) {
     Result<RuleExecutor> exec = RuleExecutor::Create(MustParseRule(text));
     EXPECT_TRUE(exec.ok());
@@ -775,7 +761,7 @@ TEST(PlanCacheTest, SharedCacheServesManyCallersAndAggregates) {
   // through one caller's Get is a hit for every other caller, and the
   // aggregate counters fold the shards.
   Database db = MustParseFacts("e(a, b). e(b, c).");
-  DbSource source(&db);
+  DatabaseSource source(&db);
   Result<RuleExecutor> exec =
       RuleExecutor::Create(MustParseRule("p(X, Z) :- e(X, Y), e(Y, Z)"));
   ASSERT_TRUE(exec.ok());
@@ -807,7 +793,7 @@ TEST(PlanCacheTest, HitRepairsMissingIndexesOnFreshRelations) {
   };
   Database db1 = make_db();
   PlanCache cache;
-  DbSource source1(&db1);
+  DatabaseSource source1(&db1);
   Result<RuleExecutor::PreparedPlan> plan =
       cache.Get(*exec, source1, -1, nullptr);
   ASSERT_TRUE(plan.ok());
@@ -816,7 +802,7 @@ TEST(PlanCacheTest, HitRepairsMissingIndexesOnFreshRelations) {
   const Relation* fresh = db2.Find(PredicateId{InternSymbol("e"), 2});
   ASSERT_NE(fresh, nullptr);
   EXPECT_FALSE(fresh->HasIndex({0}));
-  DbSource source2(&db2);
+  DatabaseSource source2(&db2);
   Result<RuleExecutor::PreparedPlan> hit =
       cache.Get(*exec, source2, -1, nullptr);
   ASSERT_TRUE(hit.ok());
@@ -836,9 +822,10 @@ TEST(PlanCacheTest, HitRepairsMissingIndexesOnFreshRelations) {
 }
 
 TEST(BatchedFixpointTest, MatchesPerTupleOnRandomizedPrograms) {
-  // Randomized graphs through full fixpoints: the batched engine must
-  // produce set-equal IDBs with bit-identical logical totals at every
-  // block size, including sizes that force mid-round flushes.
+  // Randomized graphs through full fixpoints: at every block size —
+  // one tuple per block included, and sizes that force mid-round
+  // flushes — the engine must derive the reference evaluator's IDB, and
+  // the logical totals must be bit-identical to the one-tuple blocks.
   std::mt19937 rng(20260806);
   const char* programs[] = {
       R"(t(X, Y) :- e(X, Y).
@@ -863,12 +850,15 @@ TEST(BatchedFixpointTest, MatchesPerTupleOnRandomizedPrograms) {
     }
     for (const char* source : programs) {
       Program program = MustParse(source);
+      Result<Database> reference = ReferenceEvaluate(program, edb);
+      ASSERT_TRUE(reference.ok()) << reference.status();
       EvalOptions per_tuple;
       per_tuple.batch_size = 1;
       EvalStats reference_stats;
-      Result<Database> reference =
+      Result<Database> one_per_block =
           Evaluate(program, edb, per_tuple, &reference_stats);
-      ASSERT_TRUE(reference.ok()) << reference.status();
+      ASSERT_TRUE(one_per_block.ok()) << one_per_block.status();
+      EXPECT_TRUE(reference->SameFactsAs(*one_per_block)) << "trial=" << trial;
       for (size_t batch_size : {size_t{2}, size_t{5}, size_t{1024}}) {
         EvalOptions batched;
         batched.batch_size = batch_size;

@@ -18,6 +18,7 @@
 namespace semopt {
 namespace {
 
+using testing_util::ExpectMatchesReference;
 using testing_util::MustParse;
 using testing_util::MustParseFacts;
 using testing_util::RelationRows;
@@ -107,7 +108,7 @@ TEST(ThreadPoolTest, ReusableAcrossManyRounds) {
   EXPECT_EQ(sum.load(), 200u * (31u * 32u / 2));
 }
 
-// ------------------------------------------- parallel-vs-serial equivalence
+// ------------------------------------------ engine-vs-reference equivalence
 
 EvalOptions Opts(EvalStrategy strategy, size_t threads) {
   EvalOptions options;
@@ -116,37 +117,13 @@ EvalOptions Opts(EvalStrategy strategy, size_t threads) {
   return options;
 }
 
-/// Evaluates `program` over `edb` serially and with 2 and 8 threads for
-/// both strategies, asserting every run derives exactly the serial
-/// semi-naive fact set.
-void ExpectParallelEquivalence(const Program& program, const Database& edb) {
-  Result<Database> reference =
-      Evaluate(program, edb, Opts(EvalStrategy::kSemiNaive, 1));
-  ASSERT_TRUE(reference.ok()) << reference.status();
-  for (EvalStrategy strategy :
-       {EvalStrategy::kSemiNaive, EvalStrategy::kNaive}) {
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      EvalStats stats;
-      Result<Database> result =
-          Evaluate(program, edb, Opts(strategy, threads), &stats);
-      ASSERT_TRUE(result.ok())
-          << result.status() << " threads=" << threads;
-      EXPECT_TRUE(reference->SameFactsAs(*result))
-          << "strategy=" << (strategy == EvalStrategy::kNaive ? "naive"
-                                                              : "semi-naive")
-          << " threads=" << threads;
-      EXPECT_GT(stats.iterations, 0u);
-    }
-  }
-}
-
 TEST(ParallelEquivalenceTest, Genealogy) {
   Result<Program> program = GenealogyProgram();
   ASSERT_TRUE(program.ok()) << program.status();
   GenealogyParams params;
   params.num_families = 8;
   params.generations = 5;
-  ExpectParallelEquivalence(*program, GenerateGenealogyDb(params));
+  ExpectMatchesReference(*program, GenerateGenealogyDb(params));
 }
 
 TEST(ParallelEquivalenceTest, University) {
@@ -155,7 +132,7 @@ TEST(ParallelEquivalenceTest, University) {
   UniversityParams params;
   params.num_professors = 40;
   params.num_students = 80;
-  ExpectParallelEquivalence(*program, GenerateUniversityDb(params));
+  ExpectMatchesReference(*program, GenerateUniversityDb(params));
 }
 
 TEST(ParallelEquivalenceTest, Organization) {
@@ -163,7 +140,7 @@ TEST(ParallelEquivalenceTest, Organization) {
   ASSERT_TRUE(program.ok()) << program.status();
   OrganizationParams params;
   params.num_employees = 120;
-  ExpectParallelEquivalence(*program, GenerateOrganizationDb(params));
+  ExpectMatchesReference(*program, GenerateOrganizationDb(params));
 }
 
 TEST(ParallelEquivalenceTest, Honors) {
@@ -171,7 +148,7 @@ TEST(ParallelEquivalenceTest, Honors) {
   ASSERT_TRUE(program.ok()) << program.status();
   HonorsParams params;
   params.num_students = 100;
-  ExpectParallelEquivalence(*program, GenerateHonorsDb(params));
+  ExpectMatchesReference(*program, GenerateHonorsDb(params));
 }
 
 TEST(ParallelEquivalenceTest, MutualRecursionAndNegation) {
@@ -187,7 +164,7 @@ TEST(ParallelEquivalenceTest, MutualRecursionAndNegation) {
   Database edb = MustParseFacts(
       "succ(z, a). succ(a, b). succ(b, c). succ(c, d). succ(d, e). "
       "succ(q1, q2).");
-  ExpectParallelEquivalence(program, edb);
+  ExpectMatchesReference(program, edb);
 }
 
 TEST(ParallelEquivalenceTest, SelfJoinOnRecursivePredicate) {
@@ -198,7 +175,7 @@ TEST(ParallelEquivalenceTest, SelfJoinOnRecursivePredicate) {
   Database edb = MustParseFacts(
       "edge(a, b). edge(b, c). edge(c, d). edge(d, e). edge(e, f). "
       "edge(c, a).");
-  ExpectParallelEquivalence(program, edb);
+  ExpectMatchesReference(program, edb);
   // Spot-check the transitive closure itself.
   Result<Database> idb = Evaluate(program, edb, Opts(EvalStrategy::kSemiNaive, 8));
   ASSERT_TRUE(idb.ok());

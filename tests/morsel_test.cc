@@ -1,10 +1,10 @@
-// Differential and unit coverage for the morsel-driven parallel
-// fixpoint (src/exec/parallel_fixpoint.cc): set-equality against the
-// serial engines across the thread × batch grid, thread-count-invariant
-// join work on the optimized genealogy workload, partitioned plan
-// shape, EvalOptions validation, and serial↔parallel session plan-cache
-// coexistence. The randomized suite here is the one CI runs under TSan
-// and ASan/UBSan.
+// Differential and unit coverage for the morsel-driven fixpoint engine
+// (src/exec/parallel_fixpoint.cc): equality with the test-side
+// reference evaluator across the thread × batch grid, thread-count-
+// invariant join work on the optimized genealogy workload, partitioned
+// plan shape, bound point lookups, EvalOptions validation, and one-lane
+// ↔ multi-lane session plan-cache coexistence. The randomized suite
+// here is the one CI runs under TSan and ASan/UBSan.
 
 #include <random>
 #include <vector>
@@ -23,9 +23,11 @@
 namespace semopt {
 namespace {
 
+using testing_util::ExpectMatchesReference;
 using testing_util::MustParse;
 using testing_util::MustParseFacts;
 using testing_util::MustParseRule;
+using testing_util::ReferenceEvaluate;
 
 EvalOptions Opts(size_t threads, size_t batch, size_t morsel = 0) {
   EvalOptions options;
@@ -34,19 +36,6 @@ EvalOptions Opts(size_t threads, size_t batch, size_t morsel = 0) {
   options.morsel_size = morsel;
   return options;
 }
-
-// A RelationSource over a single database, for plan-shape tests.
-class DbSource : public RelationSource {
- public:
-  explicit DbSource(const Database* db) : db_(db) {}
-  const Relation* Full(const PredicateId& pred) const override {
-    return db_->Find(pred);
-  }
-  const Relation* Delta(const PredicateId&) const override { return nullptr; }
-
- private:
-  const Database* db_;
-};
 
 // ------------------------------------------ randomized differential suite
 
@@ -59,35 +48,22 @@ void AddRandomEdges(Database& db, const char* name, size_t nodes,
   }
 }
 
-/// Evaluates `program` over `edb` with the serial tuple-at-a-time
-/// engine, the serial batched engine, and the morsel engine across
-/// threads {1, 2, 4, 8} × batch sizes {1, 7, 1024}, asserting every run
-/// derives the same fact set and the same number of derived tuples as
-/// the serial tuple-at-a-time reference.
+/// Checks the engine against the reference evaluator over the whole
+/// strategy × threads × batch grid (ExpectMatchesReference), then at 4
+/// lanes, at the smallest legal morsel, and with the SIMD kernels off —
+/// every run must derive the reference fixpoint, tuple for tuple.
 void ExpectMorselEquivalence(const Program& program, const Database& edb) {
-  EvalStats ref_stats;
-  Result<Database> reference = Evaluate(program, edb, Opts(1, 1), &ref_stats);
+  ExpectMatchesReference(program, edb);
+  Result<Database> reference = ReferenceEvaluate(program, edb);
   ASSERT_TRUE(reference.ok()) << reference.status();
+  const size_t ref_derived = reference->TotalTuples();
 
-  EvalStats batched_stats;
-  Result<Database> batched =
-      Evaluate(program, edb, Opts(1, 1024), &batched_stats);
-  ASSERT_TRUE(batched.ok()) << batched.status();
-  EXPECT_TRUE(reference->SameFactsAs(*batched));
-  EXPECT_EQ(batched_stats.derived_tuples, ref_stats.derived_tuples);
-
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    for (size_t batch : {size_t{1}, size_t{7}, size_t{1024}}) {
-      EvalStats stats;
-      Result<Database> result =
-          EvaluateParallel(program, edb, Opts(threads, batch), &stats);
-      ASSERT_TRUE(result.ok())
-          << result.status() << " threads=" << threads << " batch=" << batch;
-      EXPECT_TRUE(reference->SameFactsAs(*result))
-          << "threads=" << threads << " batch=" << batch;
-      EXPECT_EQ(stats.derived_tuples, ref_stats.derived_tuples)
-          << "threads=" << threads << " batch=" << batch;
-    }
+  for (size_t batch : {size_t{1}, size_t{7}, size_t{1024}}) {
+    EvalStats stats;
+    Result<Database> result = Evaluate(program, edb, Opts(4, batch), &stats);
+    ASSERT_TRUE(result.ok()) << result.status() << " batch=" << batch;
+    EXPECT_TRUE(reference->SameFactsAs(*result)) << "batch=" << batch;
+    EXPECT_EQ(stats.derived_tuples, ref_derived) << "batch=" << batch;
   }
 
   // The smallest legal morsel maximizes scheduling interleavings (every
@@ -95,19 +71,23 @@ void ExpectMorselEquivalence(const Program& program, const Database& edb) {
   // merge-order or cursor races under TSan.
   EvalStats tiny_stats;
   Result<Database> tiny =
-      EvaluateParallel(program, edb, Opts(8, 7, /*morsel=*/8), &tiny_stats);
+      Evaluate(program, edb, Opts(8, 7, /*morsel=*/8), &tiny_stats);
   ASSERT_TRUE(tiny.ok()) << tiny.status();
   EXPECT_TRUE(reference->SameFactsAs(*tiny));
-  EXPECT_EQ(tiny_stats.derived_tuples, ref_stats.derived_tuples);
+  EXPECT_EQ(tiny_stats.derived_tuples, ref_derived);
 
   // SIMD as one more grid axis: forcing the scalar kernels (simd off)
   // must be bit-identical — same facts, same logical counters — to the
-  // vectorized default, serially and under the morsel engine.
-  EvalOptions scalar_serial = Opts(1, 1024);
-  scalar_serial.simd = SimdMode::kOff;
+  // vectorized default, at one lane and at four.
+  EvalStats batched_stats;
+  Result<Database> batched =
+      Evaluate(program, edb, Opts(1, 1024), &batched_stats);
+  ASSERT_TRUE(batched.ok()) << batched.status();
+  EvalOptions scalar_one_lane = Opts(1, 1024);
+  scalar_one_lane.simd = SimdMode::kOff;
   EvalStats scalar_stats;
   Result<Database> scalar =
-      Evaluate(program, edb, scalar_serial, &scalar_stats);
+      Evaluate(program, edb, scalar_one_lane, &scalar_stats);
   ASSERT_TRUE(scalar.ok()) << scalar.status();
   EXPECT_TRUE(reference->SameFactsAs(*scalar));
   EXPECT_EQ(scalar_stats.derived_tuples, batched_stats.derived_tuples);
@@ -117,10 +97,10 @@ void ExpectMorselEquivalence(const Program& program, const Database& edb) {
   scalar_parallel.simd = SimdMode::kOff;
   EvalStats scalar_par_stats;
   Result<Database> scalar_par =
-      EvaluateParallel(program, edb, scalar_parallel, &scalar_par_stats);
+      Evaluate(program, edb, scalar_parallel, &scalar_par_stats);
   ASSERT_TRUE(scalar_par.ok()) << scalar_par.status();
   EXPECT_TRUE(reference->SameFactsAs(*scalar_par));
-  EXPECT_EQ(scalar_par_stats.derived_tuples, ref_stats.derived_tuples);
+  EXPECT_EQ(scalar_par_stats.derived_tuples, ref_derived);
 }
 
 TEST(MorselDifferentialTest, LinearTransitiveClosure) {
@@ -204,16 +184,15 @@ TEST(MorselWorkInvarianceTest, BindingsInvariantOnOptimizedGenealogy) {
   params.seed = 7;
   Database edb = GenerateGenealogyDb(params);
 
-  Result<Database> reference =
-      Evaluate(optimized->program, edb, Opts(1, 1024));
+  Result<Database> reference = ReferenceEvaluate(optimized->program, edb);
   ASSERT_TRUE(reference.ok()) << reference.status();
 
   std::vector<size_t> bindings;
   std::vector<size_t> derived;
   for (size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
     EvalStats stats;
-    Result<Database> result = EvaluateParallel(
-        optimized->program, edb, Opts(threads, 1024), &stats);
+    Result<Database> result =
+        Evaluate(optimized->program, edb, Opts(threads, 1024), &stats);
     ASSERT_TRUE(result.ok()) << result.status() << " threads=" << threads;
     EXPECT_TRUE(reference->SameFactsAs(*result)) << "threads=" << threads;
     bindings.push_back(stats.bindings_explored);
@@ -230,23 +209,22 @@ TEST(MorselWorkInvarianceTest, BindingsInvariantOnOptimizedGenealogy) {
 
 TEST(MorselPlanShapeTest, PartitionedPrepareMarksDeltaAsDriving) {
   Database db = MustParseFacts("e(a, b). e(b, c). t(a, b).");
-  DbSource source(&db);
+  DatabaseSource source(&db);
   Result<RuleExecutor> exec =
       RuleExecutor::Create(MustParseRule("t(X, Z) :- e(X, Y), t(Y, Z)"));
   ASSERT_TRUE(exec.ok());
 
-  // Serial plans have no driving step.
-  Result<RuleExecutor::PreparedPlan> serial = exec->Prepare(source, 1);
-  ASSERT_TRUE(serial.ok());
-  EXPECT_EQ(exec->DrivingLiteral(*serial), -1);
-  EXPECT_EQ(exec->DescribePlan(*serial, 1).find("(driving)"),
+  // Unpartitioned (one-lane) plans have no driving step.
+  Result<RuleExecutor::PreparedPlan> one_lane = exec->Prepare(source, 1);
+  ASSERT_TRUE(one_lane.ok());
+  EXPECT_EQ(exec->DrivingLiteral(*one_lane), -1);
+  EXPECT_EQ(exec->DescribePlan(*one_lane, 1).find("(driving)"),
             std::string::npos);
 
   // A partitioned plan rotates the delta occurrence (body literal 1) to
   // the front and marks it driving; morsels clamp its scan.
   Result<RuleExecutor::PreparedPlan> plan = exec->Prepare(
-      source, /*delta_literal=*/1, /*size_aware=*/true,
-      /*skip_delta_index=*/false, /*partition=*/true);
+      source, /*delta_literal=*/1, /*size_aware=*/true, /*partition=*/true);
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(exec->DrivingLiteral(*plan), 1);
   std::string text = exec->DescribePlan(*plan, 1);
@@ -258,12 +236,12 @@ TEST(MorselPlanShapeTest, PartitionedPrepareMarksDeltaAsDriving) {
 
 TEST(MorselPlanShapeTest, NonDeltaPartitionedPlanDrivesFirstPositive) {
   Database db = MustParseFacts("e(a, b). f(b, c).");
-  DbSource source(&db);
+  DatabaseSource source(&db);
   Result<RuleExecutor> exec = RuleExecutor::Create(
       MustParseRule("p(X, Z) :- e(X, Y), f(Y, Z), X != Z"));
   ASSERT_TRUE(exec.ok());
   Result<RuleExecutor::PreparedPlan> plan =
-      exec->Prepare(source, -1, true, false, /*partition=*/true);
+      exec->Prepare(source, -1, true, /*partition=*/true);
   ASSERT_TRUE(plan.ok());
   // No delta: the plan's first positive relational step drives, and its
   // original body index is reported so the round can carve that
@@ -273,17 +251,49 @@ TEST(MorselPlanShapeTest, NonDeltaPartitionedPlanDrivesFirstPositive) {
   EXPECT_LT(driving, 2);  // one of the relational literals, never X != Z
 }
 
+TEST(MorselPlanShapeTest, BoundLookupProbesInOneMorsel) {
+  // A point lookup has no delta and a constant-bound first step: a
+  // multi-lane round must probe it once, not carve a full scan of the
+  // relation into morsels.
+  Database edb;
+  for (int i = 0; i < 10000; ++i) {
+    edb.AddTuple("e", {Term::Int(i % 1000), Term::Int(i)});
+  }
+  Program program = MustParse("answer(Y) :- e(17, Y).");
+
+  DatabaseSource source(&edb);
+  Result<RuleExecutor> exec =
+      RuleExecutor::Create(MustParseRule("answer(Y) :- e(17, Y)"));
+  ASSERT_TRUE(exec.ok());
+  Result<RuleExecutor::PreparedPlan> plan =
+      exec->Prepare(source, -1, true, /*partition=*/true);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(exec->DrivingLiteral(*plan), -1);
+  const std::string text = exec->DescribePlan(*plan);
+  EXPECT_NE(text.find("[probe cols 0]"), std::string::npos) << text;
+  EXPECT_EQ(text.find("(driving)"), std::string::npos) << text;
+
+  EvalStats stats;
+  Result<Database> four = Evaluate(program, edb, Opts(4, 1024), &stats);
+  ASSERT_TRUE(four.ok()) << four.status();
+  EXPECT_EQ(stats.morsels, 1u);
+  Result<Database> one = Evaluate(program, edb, Opts(1, 1024));
+  ASSERT_TRUE(one.ok()) << one.status();
+  EXPECT_TRUE(one->SameFactsAs(*four));
+  EXPECT_EQ(testing_util::RelationSize(*four, "answer", 1), 10u);
+}
+
 TEST(MorselPlanShapeTest, MorselRangeRestrictsDrivingScan) {
   Database db;
   for (int i = 0; i < 10; ++i) {
     db.AddTuple("e", {Term::Int(i), Term::Int(i + 1)});
   }
-  DbSource source(&db);
+  DatabaseSource source(&db);
   Result<RuleExecutor> exec =
       RuleExecutor::Create(MustParseRule("p(X, Y) :- e(X, Y)"));
   ASSERT_TRUE(exec.ok());
   Result<RuleExecutor::PreparedPlan> plan =
-      exec->Prepare(source, -1, true, false, /*partition=*/true);
+      exec->Prepare(source, -1, true, /*partition=*/true);
   ASSERT_TRUE(plan.ok());
 
   size_t rows = 0;
@@ -337,7 +347,7 @@ TEST(ValidateEvalOptionsTest, EvaluateSurfacesTheViolation) {
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kFailedPrecondition);
   Result<Database> bad_parallel =
-      EvaluateParallel(program, edb, Opts(4, 1024, 4), nullptr);
+      Evaluate(program, edb, Opts(4, 1024, 4), nullptr);
   ASSERT_FALSE(bad_parallel.ok());
   EXPECT_EQ(bad_parallel.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -379,7 +389,7 @@ TEST(ValidateEvalOptionsTest, MorselSizeResolution) {
 
 // --------------------------------------------- session cache across regimes
 
-TEST(MorselSessionCacheTest, SerialAndParallelRegimesCoexistAndHit) {
+TEST(MorselSessionCacheTest, OneLaneAndMultiLaneRegimesCoexistAndHit) {
   Program program = MustParse(R"(
     t(X, Y) :- e(X, Y).
     t(X, Z) :- t(X, Y), e(Y, Z).
@@ -390,41 +400,42 @@ TEST(MorselSessionCacheTest, SerialAndParallelRegimesCoexistAndHit) {
   }
 
   PlanCache session;
-  EvalOptions serial = Opts(1, 1024);
-  serial.plan_cache = &session;
-  EvalOptions parallel = Opts(4, 1024);
-  parallel.plan_cache = &session;
+  EvalOptions one_lane = Opts(1, 1024);
+  one_lane.plan_cache = &session;
+  EvalOptions four_lanes = Opts(4, 1024);
+  four_lanes.plan_cache = &session;
 
-  Result<Database> serial_run = Evaluate(program, edb, serial);
-  ASSERT_TRUE(serial_run.ok());
-  size_t serial_entries = session.size();
-  EXPECT_GT(serial_entries, 0u);
+  Result<Database> one_lane_run = Evaluate(program, edb, one_lane);
+  ASSERT_TRUE(one_lane_run.ok());
+  size_t one_lane_entries = session.size();
+  EXPECT_GT(one_lane_entries, 0u);
 
-  // The parallel engine needs the partitioned plan shape: its first run
-  // misses (new regime entries) without evicting the serial entries.
+  // More than one lane needs the partitioned plan shape: the first
+  // multi-lane run misses (new regime entries) without evicting the
+  // one-lane entries.
   EvalStats first_stats;
-  Result<Database> parallel_run =
-      Evaluate(program, edb, parallel, &first_stats);
-  ASSERT_TRUE(parallel_run.ok());
-  EXPECT_TRUE(serial_run->SameFactsAs(*parallel_run));
+  Result<Database> four_lane_run =
+      Evaluate(program, edb, four_lanes, &first_stats);
+  ASSERT_TRUE(four_lane_run.ok());
+  EXPECT_TRUE(one_lane_run->SameFactsAs(*four_lane_run));
   EXPECT_GT(first_stats.plan_cache_misses, 0u);
-  EXPECT_GT(session.size(), serial_entries);
+  EXPECT_GT(session.size(), one_lane_entries);
 
-  // Steady state: a repeated parallel evaluation re-traverses the same
-  // band trajectory in the partitioned regime and hits every round.
+  // Steady state: a repeated multi-lane evaluation re-traverses the
+  // same band trajectory in the partitioned regime and hits every round.
   EvalStats second_stats;
-  Result<Database> again = Evaluate(program, edb, parallel, &second_stats);
+  Result<Database> again = Evaluate(program, edb, four_lanes, &second_stats);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(second_stats.plan_cache_misses, 0u);
   EXPECT_GT(second_stats.plan_cache_hits, 0u);
-  EXPECT_TRUE(serial_run->SameFactsAs(*again));
+  EXPECT_TRUE(one_lane_run->SameFactsAs(*again));
 
-  // ... and switching back to serial still hits the serial entries.
-  EvalStats serial_again_stats;
-  Result<Database> serial_again =
-      Evaluate(program, edb, serial, &serial_again_stats);
-  ASSERT_TRUE(serial_again.ok());
-  EXPECT_EQ(serial_again_stats.plan_cache_misses, 0u);
+  // ... and switching back to one lane still hits the one-lane entries.
+  EvalStats one_lane_again_stats;
+  Result<Database> one_lane_again =
+      Evaluate(program, edb, one_lane, &one_lane_again_stats);
+  ASSERT_TRUE(one_lane_again.ok());
+  EXPECT_EQ(one_lane_again_stats.plan_cache_misses, 0u);
 }
 
 // ------------------------------------------------------- morsel counters
@@ -441,7 +452,7 @@ TEST(MorselStatsTest, CountersReportCarvedMorsels) {
   EvalStats stats;
   EvalOptions options = Opts(4, 16, /*morsel=*/16);
   options.collect_metrics = true;
-  Result<Database> result = EvaluateParallel(program, edb, options, &stats);
+  Result<Database> result = Evaluate(program, edb, options, &stats);
   ASSERT_TRUE(result.ok()) << result.status();
   // 200 seed rows at 16-row morsels: the first recursive round alone
   // carves 13, so the fixpoint total is comfortably above that.

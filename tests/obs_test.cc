@@ -707,13 +707,17 @@ TEST(EvalObsTest, ParallelCollectMetricsFillsBalance) {
 
 #ifndef SEMOPT_DISABLE_TRACING
 
-TEST(EvalObsTest, TracePathProducesStratumRoundRuleSpans) {
+// One engine, one span tree at every lane count: eval > stratum > round >
+// plan / <rule label> / merge > commit.
+void ExpectOneSpanTree(size_t threads) {
   Program program = MustParse(kTransitiveClosure);
   program.AutoLabelRules();
   Database edb = MustParseFacts(kChainFacts);
-  std::string path = ::testing::TempDir() + "/semopt_eval_trace.json";
+  std::string path = ::testing::TempDir() + "/semopt_eval_trace_" +
+                     std::to_string(threads) + ".json";
   EvalOptions options;
   options.trace_path = path;
+  options.num_threads = threads;
   ASSERT_TRUE(Evaluate(program, edb, options, nullptr).ok());
   ASSERT_FALSE(obs::TracingEnabled());
 
@@ -722,46 +726,30 @@ TEST(EvalObsTest, TracePathProducesStratumRoundRuleSpans) {
   std::stringstream buffer;
   buffer << in.rdbuf();
   std::vector<JsonValue> events = MustParseTrace(buffer.str());
-  EXPECT_NE(FindEvent(events, "eval.serial"), nullptr);
+  EXPECT_NE(FindEvent(events, "eval"), nullptr);
   EXPECT_GE(CountEvents(events, "stratum"), 1u);
   // The 5-edge chain needs several semi-naive rounds.
   EXPECT_GE(CountEvents(events, "round"), 3u);
-  // Per-rule spans are named by rule label (AutoLabelRules => r0, r1).
+  EXPECT_GE(CountEvents(events, "plan"), 1u);
+  EXPECT_GE(CountEvents(events, "merge"), 1u);
+  EXPECT_GE(CountEvents(events, "commit"), 1u);
+  // Per-rule task spans are named by rule label (AutoLabelRules => r0, r1).
   EXPECT_GE(CountEvents(events, "r0"), 1u);
   EXPECT_GE(CountEvents(events, "r1"), 1u);
   const JsonValue* round = FindEvent(events, "round");
   ASSERT_NE(round, nullptr);
+  const JsonValue* args = round->Get("args");
+  ASSERT_NE(args, nullptr);
+  EXPECT_EQ(args->Get("workers")->number, static_cast<double>(threads));
   std::remove(path.c_str());
 }
 
-TEST(EvalObsTest, ParallelTraceHasTaskAndMergeSpans) {
-  Program program = MustParse(kTransitiveClosure);
-  program.AutoLabelRules();
-  Database edb = MustParseFacts(kChainFacts);
-  std::string path = ::testing::TempDir() + "/semopt_par_trace.json";
-  EvalOptions options;
-  options.trace_path = path;
-  options.num_threads = 2;
-  ASSERT_TRUE(Evaluate(program, edb, options, nullptr).ok());
+TEST(EvalObsTest, TracePathProducesStratumRoundRuleSpans) {
+  ExpectOneSpanTree(1);
+}
 
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  std::vector<JsonValue> events = MustParseTrace(buffer.str());
-  EXPECT_NE(FindEvent(events, "eval.parallel"), nullptr);
-  EXPECT_GE(CountEvents(events, "parallel.round"), 1u);
-  EXPECT_GE(CountEvents(events, "parallel.plan"), 1u);
-  EXPECT_GE(CountEvents(events, "parallel.merge"), 1u);
-  EXPECT_GE(CountEvents(events, "merge"), 1u);
-  // Worker task spans named by rule label, carrying partition sizes.
-  EXPECT_GE(CountEvents(events, "r0") + CountEvents(events, "r1"), 1u);
-  const JsonValue* round = FindEvent(events, "parallel.round");
-  ASSERT_NE(round, nullptr);
-  const JsonValue* args = round->Get("args");
-  ASSERT_NE(args, nullptr);
-  EXPECT_EQ(args->Get("workers")->number, 2);
-  std::remove(path.c_str());
+TEST(EvalObsTest, ParallelTraceHasTaskAndMergeSpans) {
+  ExpectOneSpanTree(2);
 }
 
 #endif  // SEMOPT_DISABLE_TRACING

@@ -394,6 +394,7 @@ TEST(ProfileGoldenTest, FixedQueryRendersStableShape) {
     s#/r#: # us, # -> #, derived #
     s#/r#: # us, # -> #, derived #
     s#/r#: # us, # -> #, derived #
+    s#/r#: # us, # -> #, derived #
 planner: greedy
 stratum # (recursive, # rules):
 r#: t(X, Y) :- e(X, Y).
@@ -411,6 +412,7 @@ query$: query$answer(Y) :- t(#, Y).
   planner: greedy
   actual: # application(s), # derived, # duplicate(s), # us (#.#% of eval)
 rounds (stratum/round: time, delta in -> out, derived):
+  s#/r#: # us, # -> #, derived #
   s#/r#: # us, # -> #, derived #
   s#/r#: # us, # -> #, derived #
   s#/r#: # us, # -> #, derived #

@@ -8,6 +8,7 @@
 #include "ast/program.h"
 #include "eval/fixpoint.h"
 #include "parser/parser.h"
+#include "reference_eval.h"
 #include "storage/database.h"
 
 #include "gtest/gtest.h"
@@ -89,6 +90,38 @@ inline size_t RelationSize(const Database& db, std::string_view pred,
                            uint32_t arity) {
   const Relation* rel = db.Find(PredicateId{InternSymbol(pred), arity});
   return rel == nullptr ? 0 : rel->size();
+}
+
+/// Evaluates `program` over `edb` with `base` at every strategy ×
+/// threads {1, 2, 8} × batch size {1, 2, 5, 1024} and expects each run
+/// to derive exactly the reference evaluator's fixpoint (facts and
+/// derived-tuple count).
+inline void ExpectMatchesReference(const Program& program, const Database& edb,
+                                   const EvalOptions& base = EvalOptions()) {
+  Result<Database> reference = ReferenceEvaluate(program, edb);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  for (EvalStrategy strategy :
+       {EvalStrategy::kSemiNaive, EvalStrategy::kNaive}) {
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      for (size_t batch : {size_t{1}, size_t{2}, size_t{5}, size_t{1024}}) {
+        EvalOptions options = base;
+        options.strategy = strategy;
+        options.num_threads = threads;
+        options.batch_size = batch;
+        EvalStats stats;
+        Result<Database> result = Evaluate(program, edb, options, &stats);
+        const std::string where =
+            std::string(strategy == EvalStrategy::kNaive ? "naive"
+                                                         : "semi-naive") +
+            " threads=" + std::to_string(threads) +
+            " batch=" + std::to_string(batch);
+        ASSERT_TRUE(result.ok()) << result.status() << " " << where;
+        EXPECT_TRUE(reference->SameFactsAs(*result)) << where;
+        EXPECT_EQ(stats.derived_tuples, reference->TotalTuples()) << where;
+        EXPECT_GT(stats.iterations, 0u) << where;
+      }
+    }
+  }
 }
 
 }  // namespace testing_util
