@@ -1,18 +1,16 @@
 // E9: flat tuple storage microbenchmarks.
 //
-// Compares the arena-backed Relation (TupleStore + RowId-only indexes)
-// against `LegacyRelation`, a faithful re-implementation of the storage
-// layer this PR replaced: std::vector<Tuple> rows, an
-// std::unordered_set<Tuple> dedup copy, and std::map-keyed indexes over
-// materialized key tuples. Workloads are deterministic (SplitMix64) so
-// before/after numbers are comparable across runs; see EXPERIMENTS.md
-// E9 and BENCH_e9.json.
+// Times the arena-backed Relation (TupleStore + RowId-only indexes) on
+// insert, indexed insert, probe, clear/refill and scan, plus the
+// columnar-select and batch-hash kernel ablations. The pre-flat
+// storage baseline (std::vector<Tuple> rows, an unordered_set dedup
+// copy, map-keyed indexes over materialized key tuples) is no longer
+// built; its numbers are a recorded row in EXPERIMENTS.md E9, taken
+// from BENCH_e9.json. Workloads are deterministic (SplitMix64) so runs
+// stay comparable with that record.
 
 #include <cmath>
 #include <cstdint>
-#include <map>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "benchmark/benchmark.h"
@@ -31,68 +29,6 @@ namespace {
 PredicateId BenchPred(const char* name, uint32_t arity) {
   return PredicateId{InternSymbol(name), arity};
 }
-
-/// The pre-flat-storage relation design, kept here as the benchmark
-/// baseline: every insert copies the tuple into both the row vector and
-/// the dedup set, and every probe materializes a projected key tuple.
-class LegacyRelation {
- public:
-  explicit LegacyRelation(uint32_t arity) : arity_(arity) {}
-
-  bool Insert(const Tuple& tuple) {
-    if (!dedup_.insert(tuple).second) return false;
-    size_t row = rows_.size();
-    rows_.push_back(tuple);
-    for (auto& [columns, index] : indexes_) {
-      index[Project(tuple, columns)].push_back(row);
-    }
-    return true;
-  }
-
-  bool Contains(const Tuple& tuple) const { return dedup_.count(tuple) > 0; }
-
-  size_t size() const { return rows_.size(); }
-  const Tuple& row(size_t i) const { return rows_[i]; }
-
-  void EnsureIndex(const std::vector<uint32_t>& columns) {
-    if (indexes_.count(columns) > 0) return;
-    auto& index = indexes_[columns];
-    for (size_t i = 0; i < rows_.size(); ++i) {
-      index[Project(rows_[i], columns)].push_back(i);
-    }
-  }
-
-  const std::vector<size_t>& Probe(const std::vector<uint32_t>& columns,
-                                   const Tuple& key) const {
-    static const std::vector<size_t> kEmpty;
-    auto it = indexes_.find(columns);
-    if (it == indexes_.end()) return kEmpty;
-    auto hit = it->second.find(key);
-    return hit == it->second.end() ? kEmpty : hit->second;
-  }
-
- private:
-  struct TupleHasher {
-    size_t operator()(const Tuple& t) const {
-      return HashValues(t.data(), t.size());
-    }
-  };
-
-  static Tuple Project(const Tuple& tuple,
-                       const std::vector<uint32_t>& columns) {
-    Tuple key;
-    key.reserve(columns.size());
-    for (uint32_t c : columns) key.push_back(tuple[c]);
-    return key;
-  }
-
-  uint32_t arity_;
-  std::vector<Tuple> rows_;
-  std::unordered_set<Tuple, TupleHasher> dedup_;
-  std::map<std::vector<uint32_t>,
-           std::unordered_map<Tuple, std::vector<size_t>, TupleHasher>>
-      indexes_;
-};
 
 /// Deterministic binary workload of `n` tuples. `dense == 0`: each
 /// coordinate spans [0, 2n) — inserts are near-unique and probe keys
@@ -132,22 +68,6 @@ BENCHMARK(BM_FlatInsert)->Args({100000, 0})
     ->Args({400000, 1})
     ->Unit(benchmark::kMillisecond);
 
-void BM_LegacyInsert(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  std::vector<Tuple> rows = MakeWorkload(n, state.range(1));
-  for (auto _ : state) {
-    LegacyRelation rel(2);
-    for (const Tuple& t : rows) benchmark::DoNotOptimize(rel.Insert(t));
-    benchmark::DoNotOptimize(rel.size());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_LegacyInsert)->Args({100000, 0})
-    ->Args({400000, 0})
-    ->Args({100000, 1})
-    ->Args({400000, 1})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_FlatInsertIndexed(benchmark::State& state) {
   const int64_t n = state.range(0);
   std::vector<Tuple> rows = MakeWorkload(n, state.range(1));
@@ -160,24 +80,6 @@ void BM_FlatInsertIndexed(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_FlatInsertIndexed)
-    ->Args({100000, 0})
-    ->Args({400000, 0})
-    ->Args({100000, 1})
-    ->Args({400000, 1})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_LegacyInsertIndexed(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  std::vector<Tuple> rows = MakeWorkload(n, state.range(1));
-  for (auto _ : state) {
-    LegacyRelation rel(2);
-    rel.EnsureIndex({0});
-    for (const Tuple& t : rows) benchmark::DoNotOptimize(rel.Insert(t));
-    benchmark::DoNotOptimize(rel.size());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_LegacyInsertIndexed)
     ->Args({100000, 0})
     ->Args({400000, 0})
     ->Args({100000, 1})
@@ -206,28 +108,6 @@ BENCHMARK(BM_FlatProbe)->Args({100000, 0})
     ->Args({400000, 1})
     ->Unit(benchmark::kMillisecond);
 
-void BM_LegacyProbe(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  std::vector<Tuple> rows = MakeWorkload(n, state.range(1));
-  LegacyRelation rel(2);
-  rel.EnsureIndex({0});
-  for (const Tuple& t : rows) rel.Insert(t);
-  for (auto _ : state) {
-    size_t hits = 0;
-    for (const Tuple& t : rows) {
-      Tuple key{t[0]};  // the per-probe allocation the flat path removed
-      hits += rel.Probe({0}, key).size();
-    }
-    benchmark::DoNotOptimize(hits);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_LegacyProbe)->Args({100000, 0})
-    ->Args({400000, 0})
-    ->Args({100000, 1})
-    ->Args({400000, 1})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_FlatClearRefill(benchmark::State& state) {
   // Delta double-buffer pattern: Clear() keeps capacity, so refills are
   // allocation-free in steady state.
@@ -243,18 +123,6 @@ void BM_FlatClearRefill(benchmark::State& state) {
 }
 BENCHMARK(BM_FlatClearRefill)->Args({100000, 0})->Args({100000, 1})->Unit(benchmark::kMillisecond);
 
-void BM_LegacyClearRefill(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  std::vector<Tuple> rows = MakeWorkload(n, state.range(1));
-  for (auto _ : state) {
-    // Legacy deltas were rebuilt from scratch each round.
-    LegacyRelation rel(2);
-    for (const Tuple& t : rows) benchmark::DoNotOptimize(rel.Insert(t));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_LegacyClearRefill)->Args({100000, 0})->Args({100000, 1})->Unit(benchmark::kMillisecond);
-
 void BM_FlatScan(benchmark::State& state) {
   const int64_t n = state.range(0);
   std::vector<Tuple> rows = MakeWorkload(n, state.range(1));
@@ -268,20 +136,6 @@ void BM_FlatScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * rel.size());
 }
 BENCHMARK(BM_FlatScan)->Args({400000, 0})->Args({400000, 1})->Unit(benchmark::kMillisecond);
-
-void BM_LegacyScan(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  std::vector<Tuple> rows = MakeWorkload(n, state.range(1));
-  LegacyRelation rel(2);
-  for (const Tuple& t : rows) rel.Insert(t);
-  for (auto _ : state) {
-    int64_t sum = 0;
-    for (size_t i = 0; i < rel.size(); ++i) sum += rel.row(i)[0].int_value();
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * rel.size());
-}
-BENCHMARK(BM_LegacyScan)->Args({400000, 0})->Args({400000, 1})->Unit(benchmark::kMillisecond);
 
 /// Constant-filter ablation over the columnar snapshot: simd:1 runs the
 /// selection-vector SelectEq kernel over the cached ColumnView's u64

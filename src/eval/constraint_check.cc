@@ -1,7 +1,6 @@
 #include "eval/constraint_check.h"
 
 #include <map>
-#include <set>
 
 #include "ast/rename.h"
 #include "eval/builtins.h"
@@ -26,12 +25,15 @@ Status ForEachBodyBinding(
   SEMOPT_ASSIGN_OR_RETURN(RuleExecutor exec, RuleExecutor::Create(probe_rule));
   DatabaseSource source(&edb);
   exec.Execute(source, -1,
-               [&](RowRef t) {
-                 std::map<SymbolId, Value> binding;
-                 for (size_t i = 0; i < vars.size(); ++i) {
-                   binding.emplace(vars[i], t[i]);
+               [&](const TupleBuffer& block) {
+                 for (size_t r = 0; r < block.size(); ++r) {
+                   RowRef t = block.row(r);
+                   std::map<SymbolId, Value> binding;
+                   for (size_t i = 0; i < vars.size(); ++i) {
+                     binding.emplace(vars[i], t[i]);
+                   }
+                   on_binding(binding);
                  }
-                 on_binding(binding);
                },
                nullptr);
   return Status::Ok();
@@ -162,7 +164,7 @@ Result<size_t> RepairByDeletion(Database* edb,
       }
       if (first_db_atom == nullptr) continue;  // purely evaluable IC
 
-      std::set<Tuple> to_delete;
+      TupleBuffer to_delete(first_db_atom->pred_id().arity);
       Status head_status = Status::Ok();
       SEMOPT_RETURN_IF_ERROR(ForEachBodyBinding(
           *edb, ic, [&](const std::map<SymbolId, Value>& binding) {
@@ -181,24 +183,16 @@ Result<size_t> RepairByDeletion(Database* edb,
             for (const Term& t : first_db_atom->args()) {
               ground.push_back(t.IsVariable() ? binding.at(t.symbol()) : t);
             }
-            to_delete.insert(std::move(ground));
+            to_delete.Append(RowRef(ground));
           }));
       SEMOPT_RETURN_IF_ERROR(head_status);
       if (to_delete.empty()) continue;
 
-      // Rebuild the relation without the offending tuples (Relation has
-      // no point deletes: row ids are stable by design).
+      // Point-delete the offending tuples; Erase skips duplicate
+      // victims and patches the relation's indexes in place.
       Relation* rel = edb->FindMutable(first_db_atom->pred_id());
       if (rel == nullptr) continue;
-      std::vector<Tuple> keep;
-      keep.reserve(rel->size());
-      for (RowRef t : rel->rows()) {
-        Tuple owned(t.begin(), t.end());
-        if (to_delete.count(owned) == 0) keep.push_back(std::move(owned));
-      }
-      total_deleted += rel->size() - keep.size();
-      rel->Clear();
-      for (Tuple& t : keep) rel->Insert(t);
+      total_deleted += rel->Erase(to_delete);
       changed = true;
     }
   }

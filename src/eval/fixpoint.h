@@ -116,7 +116,7 @@ struct EvalOptions {
 
 /// Validates an EvalOptions combination, returning the first problem as
 /// a FailedPrecondition Status instead of silently clamping: callers
-/// (the shell's `:batch`/`:threads`, embedders) surface the message and
+/// (the shell's `:threads`/`:simd`, embedders) surface the message and
 /// keep their previous settings. Checks: batch_size >= 1, num_threads
 /// <= 256 (0 = hardware auto-resolution is valid), morsel_size either 0
 /// (auto) or >= 8 (a smaller morsel makes the shared-cursor claim the

@@ -43,11 +43,8 @@ Result<RuleExecutor> RuleExecutor::Create(const Rule& rule) {
   }
 #endif
 
-  // Validate by building the size-blind plan once; remember its order.
-  SEMOPT_ASSIGN_OR_RETURN(Plan plan, exec.BuildPlan(nullptr));
-  for (const LiteralStep& step : plan.steps) {
-    exec.static_order_.push_back(step.original_index);
-  }
+  // Validate safety by building the size-blind plan once.
+  SEMOPT_RETURN_IF_ERROR(exec.BuildPlan(nullptr).status());
   return exec;
 }
 
@@ -260,13 +257,9 @@ Result<RuleExecutor::Plan> RuleExecutor::BuildPlan(
     plan.head_specs.push_back(spec);
   }
 
-  // Lay out the per-step scratch slices and size the shared scratch
-  // row so ExecutePlan can allocate every buffer up front.
-  plan.scratch_offsets.reserve(plan.steps.size());
+  // Size the shared scratch row so an execution reserves it once.
   plan.max_row_width = plan.head_specs.size();
   for (const LiteralStep& step : plan.steps) {
-    plan.scratch_offsets.push_back(plan.scratch_size);
-    plan.scratch_size += step.args.size();
     plan.max_row_width = std::max(plan.max_row_width, step.args.size());
   }
   // Identity batch order by default; Prepare's FuseBatchChecks pass
@@ -513,27 +506,6 @@ int RuleExecutor::DrivingLiteral(const PreparedPlan& plan) const {
       p.steps[static_cast<size_t>(p.driving_step)].original_index);
 }
 
-int RuleExecutor::FirstPositiveStep(const PreparedPlan& plan) const {
-  for (const LiteralStep& step : plan.plan_->steps) {
-    if (!step.is_comparison && !step.negated) {
-      return static_cast<int>(step.original_index);
-    }
-  }
-  return -1;
-}
-
-std::vector<uint32_t> RuleExecutor::ProbeColumnsFor(
-    const PreparedPlan& plan, int literal_index) const {
-  for (const LiteralStep& step : plan.plan_->steps) {
-    if (step.is_comparison || step.negated) continue;
-    if (literal_index >= 0 &&
-        step.original_index == static_cast<size_t>(literal_index)) {
-      return step.probe_columns;
-    }
-  }
-  return {};
-}
-
 std::string RuleExecutor::DescribePlan(const PreparedPlan& plan,
                                        int delta_literal) const {
   assert(plan.plan_ != nullptr);
@@ -606,33 +578,11 @@ std::string RuleExecutor::DescribePlan(const PreparedPlan& plan,
   return out;
 }
 
-void RuleExecutor::ExecutePlan(const PreparedPlan& plan,
-                               const RelationSource& source,
-                               int delta_literal, const TupleSink& sink,
-                               EvalStats* stats) const {
-  if (stats != nullptr) ++stats->rule_applications;
-  const Plan& p = *plan.plan_;
-  // All working state for the whole scan, allocated once: the inner
-  // join loops never touch the allocator.
-  ExecContext ctx;
-  ctx.frame.assign(slot_count_, Term::Int(0));
-  ctx.bound.assign(slot_count_, 0);
-  ctx.newly_bound.resize(p.scratch_size);
-  ctx.scratch_row.reserve(p.max_row_width);
-  ctx.literal_bindings.assign(rule_.body().size(), 0);
-  ExecuteStep(p, source, delta_literal, 0, &ctx, sink, stats);
-  RecordFeedback(p, source, delta_literal, ctx.literal_bindings, 0,
-                 kNoMorsel);
-}
-
 void RuleExecutor::Execute(const RelationSource& source, int delta_literal,
-                           const TupleSink& sink, EvalStats* stats,
-                           bool size_aware, PlannerMode planner) const {
-  Result<PreparedPlan> plan =
-      Prepare(source, delta_literal, size_aware, /*partition=*/false,
-              planner);
+                           const BatchSink& sink, EvalStats* stats) const {
+  Result<PreparedPlan> plan = Prepare(source, delta_literal);
   if (!plan.ok()) return;  // Create() validated; cannot fail here
-  ExecutePlan(*plan, source, delta_literal, sink, stats);
+  ExecutePlanBatched(*plan, source, delta_literal, sink, stats);
 }
 
 void RuleExecutor::RecordFeedback(
@@ -671,135 +621,6 @@ void RuleExecutor::RecordFeedback(
         i < literal_bindings.size() ? literal_bindings[i] : 0;
     cell->actual_bindings.fetch_add(actual, std::memory_order_relaxed);
     cell->estimated_bindings.fetch_add(est, std::memory_order_relaxed);
-  }
-}
-
-void RuleExecutor::ExecuteStep(const Plan& plan,
-                               const RelationSource& source,
-                               int delta_literal, size_t step_index,
-                               ExecContext* ctx, const TupleSink& sink,
-                               EvalStats* stats) const {
-  if (step_index == plan.steps.size()) {
-    // Emit the head through the shared scratch row (capacity reserved
-    // in ExecutePlan, so this never allocates).
-    ctx->scratch_row.clear();
-    for (const TermSpec& spec : plan.head_specs) {
-      ctx->scratch_row.push_back(spec.is_constant ? spec.constant
-                                                  : ctx->frame[spec.slot]);
-    }
-    sink(RowRef(ctx->scratch_row));
-    return;
-  }
-
-  const LiteralStep& step = plan.steps[step_index];
-  auto value_of = [&](const TermSpec& spec) -> const Value& {
-    return spec.is_constant ? spec.constant : ctx->frame[spec.slot];
-  };
-
-  if (step.is_comparison) {
-    if (step.eq_binds) {
-      const TermSpec& bound_side = step.lhs.bound ? step.lhs : step.rhs;
-      const TermSpec& free_side = step.lhs.bound ? step.rhs : step.lhs;
-      if (ctx->bound[free_side.slot]) {
-        if (CompareValues(ctx->frame[free_side.slot],
-                          value_of(bound_side)) != 0) {
-          return;
-        }
-        ExecuteStep(plan, source, delta_literal, step_index + 1, ctx, sink,
-                    stats);
-        return;
-      }
-      ctx->frame[free_side.slot] = value_of(bound_side);
-      ctx->bound[free_side.slot] = 1;
-      ExecuteStep(plan, source, delta_literal, step_index + 1, ctx, sink,
-                  stats);
-      ctx->bound[free_side.slot] = 0;
-      return;
-    }
-    if (stats != nullptr) ++stats->comparison_checks;
-    bool holds =
-        EvalComparisonOp(value_of(step.lhs), step.op, value_of(step.rhs));
-    if (step.negated) holds = !holds;
-    if (holds) {
-      ExecuteStep(plan, source, delta_literal, step_index + 1, ctx, sink,
-                  stats);
-    }
-    return;
-  }
-
-  // Relational literal.
-  const Relation* relation = nullptr;
-  if (delta_literal >= 0 &&
-      step.original_index == static_cast<size_t>(delta_literal)) {
-    relation = source.Delta(step.pred);
-  }
-  if (relation == nullptr) relation = source.Full(step.pred);
-
-  if (step.negated) {
-    // All arguments are statically bound; membership test through the
-    // scratch row (done with it before any recursion).
-    ctx->scratch_row.clear();
-    for (const TermSpec& spec : step.args) {
-      ctx->scratch_row.push_back(value_of(spec));
-    }
-    bool present =
-        relation != nullptr && relation->Contains(RowRef(ctx->scratch_row));
-    if (!present) {
-      ExecuteStep(plan, source, delta_literal, step_index + 1, ctx, sink,
-                  stats);
-    }
-    return;
-  }
-
-  if (relation == nullptr || relation->empty()) return;
-
-  // Slots freshly bound at this step, restored after each recursion.
-  // Slices of the shared scratch land each step its own window, so the
-  // recursion never allocates.
-  uint32_t* newly = ctx->newly_bound.data() + plan.scratch_offsets[step_index];
-
-  auto try_row = [&](RowRef row) {
-    size_t n_newly = 0;
-    bool match = true;
-    for (uint32_t col = 0; col < step.args.size() && match; ++col) {
-      const TermSpec& spec = step.args[col];
-      if (spec.is_constant) {
-        match = row[col] == spec.constant;
-      } else if (ctx->bound[spec.slot]) {
-        match = row[col] == ctx->frame[spec.slot];
-      } else {
-        ctx->frame[spec.slot] = row[col];
-        ctx->bound[spec.slot] = 1;
-        newly[n_newly++] = spec.slot;
-      }
-    }
-    if (match) {
-      if (stats != nullptr) ++stats->bindings_explored;
-      ++ctx->literal_bindings[step.original_index];
-      ExecuteStep(plan, source, delta_literal, step_index + 1, ctx, sink,
-                  stats);
-    }
-    for (size_t k = 0; k < n_newly; ++k) ctx->bound[newly[k]] = 0;
-  };
-
-  // The driving step of a partitioned plan always scans: its probe
-  // index is never built.
-  const bool is_driving = plan.driving_step == static_cast<int>(step_index);
-  if (!is_driving && !step.probe_columns.empty()) {
-    // Gather the probe key into the scratch row; Probe hashes it in
-    // place (hash-first, no key tuple is ever materialized).
-    ctx->scratch_row.clear();
-    for (uint32_t col : step.probe_columns) {
-      ctx->scratch_row.push_back(value_of(step.args[col]));
-    }
-    const std::vector<RowId>& hits =
-        relation->Probe(step.probe_columns, ctx->scratch_row.data());
-    for (RowId row_index : hits) {
-      try_row(relation->row(row_index));
-    }
-  } else {
-    const size_t n = relation->size();
-    for (size_t i = 0; i < n; ++i) try_row(relation->row(i));
   }
 }
 
@@ -1079,8 +900,8 @@ void RuleExecutor::RunBatchFrom(const Plan& plan,
         if (present) return false;
       } else {
         if (!present) return false;
-        // Mirrors the per-tuple executor: an all-bound positive literal
-        // contributes one explored binding when its (unique) match
+        // Counted as if the literal ran as its own step: an all-bound
+        // positive literal explores one binding when its (unique) match
         // exists.
         ++ctx->bindings;
         ++ctx->literal_bindings[fc.original_index];

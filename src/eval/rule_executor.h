@@ -46,17 +46,12 @@ class DatabaseSource : public RelationSource {
   const Database* db_;
 };
 
-/// Receives each head tuple derived by a rule execution as a zero-copy
-/// view. The view is only valid for the duration of the call: sinks
-/// that keep tuples must copy them out (TupleBuffer::Append or
-/// Relation::Insert both do).
-using TupleSink = std::function<void(RowRef)>;
-
 /// Receives derived head tuples a block at a time: a flat TupleBuffer
 /// of up to the configured batch size, valid only for the duration of
-/// the call (the executor recycles it for the next block). The batched
-/// executor pays one sink dispatch per ~batch_size tuples instead of
-/// one type-erased call per tuple.
+/// the call (the executor recycles it for the next block), so sinks
+/// that keep tuples must copy them out (TupleBuffer::AppendAll or
+/// Relation::Insert both do). One sink dispatch per ~batch_size
+/// tuples, not one type-erased call per tuple.
 using BatchSink = std::function<void(const TupleBuffer&)>;
 
 /// A slot-compiled executor for one rule.
@@ -68,11 +63,12 @@ using BatchSink = std::function<void(const TupleBuffer&)>;
 /// literals allowed to bind one side — with ties broken by the *actual
 /// current cardinality* of each literal's relation, so cheap auxiliary
 /// relations are probed before expensive fan-out joins. Joins run as
-/// index nested loops probing hash indexes on the bound columns —
-/// tuple-at-a-time through `ExecutePlan`, or block-at-a-time through
-/// `ExecutePlanBatched`, which streams flat frame blocks through the
-/// step pipeline so hashing, filtering and negation membership tests
-/// run in tight loops over contiguous data.
+/// index nested loops probing hash indexes on the bound columns, one
+/// block at a time: `ExecutePlanBatched` streams flat frame blocks
+/// through the step pipeline so hashing, filtering and negation
+/// membership tests run in tight loops over contiguous data. It is the
+/// only executor — fixpoint rounds, incremental maintenance,
+/// constraint checks and runtime residues all run through it.
 class RuleExecutor {
  private:
   struct Plan;          // defined privately below; PreparedPlan keeps it opaque
@@ -89,7 +85,8 @@ class RuleExecutor {
   static constexpr size_t kNoMorsel = static_cast<size_t>(-1);
 
   /// A plan bound to the relation-cardinality snapshot it was built
-  /// against, produced by `Prepare` and consumed by `ExecutePlan`.
+  /// against, produced by `Prepare` and consumed by
+  /// `ExecutePlanBatched`.
   /// Cheap to copy (shared immutable state), safe to share across
   /// threads.
   class PreparedPlan {
@@ -121,26 +118,22 @@ class RuleExecutor {
   /// Plans `rule`. Fails for unsafe rules.
   static Result<RuleExecutor> Create(const Rule& rule);
 
-  /// Runs the rule to completion. `delta_literal` is an index into the
-  /// ORIGINAL body (not the planned order) whose relation is read from
-  /// `source.Delta(...)`; pass -1 to read everything from Full. Each
-  /// derived head tuple is passed to `sink`. `stats` may be null.
-  /// `size_aware` selects cardinality-aware planning (default); pass
-  /// false to use the size-blind static order (ablation bench A1).
-  /// Equivalent to Prepare + ExecutePlan. This per-tuple entry point
-  /// serves constraint checks and runtime residues, and is the batched
-  /// executor's reference in tests; the fixpoint engine and incremental
-  /// maintenance go through Prepare + ExecutePlanBatched.
+  /// Runs the rule to completion: Prepare + ExecutePlanBatched at the
+  /// default block size. `delta_literal` is an index into the ORIGINAL
+  /// body (not the planned order) whose relation is read from
+  /// `source.Delta(...)`; pass -1 to read everything from Full. Derived
+  /// head tuples reach `sink` in blocks. `stats` may be null. Serves
+  /// one-shot callers (constraint checks, runtime residues); the
+  /// fixpoint engine and incremental maintenance cache their prepared
+  /// plans and call ExecutePlanBatched directly.
   void Execute(const RelationSource& source, int delta_literal,
-               const TupleSink& sink, EvalStats* stats,
-               bool size_aware = true,
-               PlannerMode planner = PlannerMode::kGreedy) const;
+               const BatchSink& sink, EvalStats* stats) const;
 
   /// Plans against the current relation cardinalities of `source` and
   /// pre-builds (EnsureIndex) every hash index the plan will probe.
   /// This is the single point where evaluation mutates shared index
-  /// state, so it must not run concurrently with ExecutePlan on the
-  /// same relations; call it from the coordinator between rounds.
+  /// state, so it must not run concurrently with ExecutePlanBatched on
+  /// the same relations; call it from the coordinator between rounds.
   ///
   /// `partition` selects the morsel-partitionable plan shape the
   /// fixpoint engine uses when it runs more than one lane: the delta
@@ -181,23 +174,16 @@ class RuleExecutor {
                          const RelationSource& source,
                          int delta_literal) const;
 
-  /// Executes a prepared plan tuple-at-a-time over whole relations.
-  /// Strictly read-only on the relations of `source` (all probed
-  /// indexes exist by the Prepare contract), so concurrent calls with
-  /// distinct sinks/stats are thread-safe.
-  void ExecutePlan(const PreparedPlan& plan, const RelationSource& source,
-                   int delta_literal, const TupleSink& sink,
-                   EvalStats* stats) const;
-
   /// Executes a prepared plan block-at-a-time: every LiteralStep
   /// consumes a flat block of up to `batch_size` frames and emits the
   /// next block, and head tuples reach `sink` in TupleBuffer blocks.
-  /// Derives exactly the same tuple multiset as ExecutePlan with
-  /// identical logical counters (bindings/comparisons), in a different
-  /// (breadth-first) order. Same thread-safety contract as ExecutePlan.
-  /// `delta_literal` must be the value the plan was prepared with, or —
-  /// when it was prepared with -1 — the plan's FirstPositiveStep, which
-  /// the batch lowering never fuses away.
+  /// Emits one head tuple per satisfying body binding — the same
+  /// multiset, and the same logical counters (bindings/comparisons),
+  /// at every block size and with `vectorize` on or off. Strictly
+  /// read-only on the relations of `source` (all probed indexes exist
+  /// by the Prepare contract), so concurrent calls with distinct
+  /// sinks/stats/scratch are thread-safe. `delta_literal` must be the
+  /// value the plan was prepared with.
   ///
   /// `[morsel_begin, morsel_end)` restricts the plan's driving step
   /// (Prepare with `partition`) to that row range of its relation —
@@ -233,15 +219,6 @@ class RuleExecutor {
   /// relational step.
   int DrivingLiteral(const PreparedPlan& plan) const;
 
-  /// The original-body index of the first positive relational step in
-  /// `plan`'s order, or -1 if the body has none (plan inspection).
-  int FirstPositiveStep(const PreparedPlan& plan) const;
-
-  /// The columns `plan` probes at the step for original-body literal
-  /// `literal_index` (empty = full scan there; plan inspection).
-  std::vector<uint32_t> ProbeColumnsFor(const PreparedPlan& plan,
-                                        int literal_index) const;
-
   /// Human-readable description of `plan`: one line per step in
   /// execution order showing the literal, its access path (scan or
   /// probe[columns]) and the delta marker. Backs the shell's `:plan`.
@@ -249,10 +226,6 @@ class RuleExecutor {
                            int delta_literal = -1) const;
 
   const Rule& rule() const { return rule_; }
-
-  /// The size-blind (static) evaluation order as original-body indices,
-  /// for tests and plan inspection.
-  const std::vector<size_t>& plan_order() const { return static_order_; }
 
   /// Number of variable slots in the execution frame.
   size_t slot_count() const { return slot_count_; }
@@ -291,9 +264,8 @@ class RuleExecutor {
   /// a constant, an already-bound frame slot, or a column the host
   /// binds from its matched row — so the whole step collapses to one
   /// membership test, and frames it rejects are never materialized into
-  /// the next block. The per-tuple executor needs no such lowering: its
-  /// depth-first recursion never materializes doomed frames to begin
-  /// with.
+  /// the next block. A fused positive check still counts one explored
+  /// binding per match, as it would as a step of its own.
   struct FusedCheck {
     struct Source {
       enum Kind : uint8_t { kConst, kFrame, kRow };
@@ -341,13 +313,10 @@ class RuleExecutor {
     /// its probe index is never built — so each morsel touches a
     /// disjoint row range and no other literal is re-scanned per task.
     int driving_step = -1;
-    /// Steps the batched executor runs, as indices into `steps`: the
-    /// per-tuple order minus the pure-check steps fused into earlier
-    /// hosts by FuseBatchChecks. The per-tuple executor always walks
-    /// `steps` unchanged. The first positive relational step is never
-    /// fused away (a fused check needs an earlier positive host), so a
-    /// plan prepared with delta_literal = -1 may still be executed with
-    /// the partitioner's FirstPositiveStep as the delta.
+    /// Steps the executor runs, as indices into `steps`: the planned
+    /// order minus the pure-check steps FuseBatchChecks folded into an
+    /// earlier host. `steps` keeps every literal, so DescribePlan can
+    /// show the fused ones in place.
     std::vector<size_t> batch_steps;
     std::vector<TermSpec> head_specs;
     /// Batch-only tail emission: when the last batch step is a positive
@@ -359,10 +328,6 @@ class RuleExecutor {
     /// negated tail, which copy frames rather than extend them).
     std::vector<FusedCheck::Source> tail_head_sources;
     bool tail_emit = false;
-    /// Per-step offsets into ExecContext::newly_bound (each step may
-    /// bind at most its own arity of fresh slots).
-    std::vector<size_t> scratch_offsets;
-    size_t scratch_size = 0;
     /// Widest probe key / negated membership row / head tuple the plan
     /// ever materializes into the shared scratch row.
     size_t max_row_width = 0;
@@ -381,20 +346,6 @@ class RuleExecutor {
     /// literal (nullptr where no estimate exists). Empty for greedy
     /// plans, so the greedy execution path never touches the store.
     std::vector<CostFeedback::Cell*> feedback;
-  };
-
-  /// Per-execution working state, allocated once in ExecutePlan and
-  /// reused across the whole scan: no per-binding or per-derivation
-  /// vectors on the join path.
-  struct ExecContext {
-    std::vector<Value> frame;          // slot values
-    std::vector<char> bound;           // slot bound flags
-    std::vector<uint32_t> newly_bound; // per-step slices (scratch_offsets)
-    std::vector<Value> scratch_row;    // probe keys, negation rows, heads
-    // Per original-body-literal positive-match counts for this
-    // execution (the per-literal split of bindings_explored; feeds the
-    // cost planner's feedback fold).
-    std::vector<uint64_t> literal_bindings;
   };
 
   /// A flat row-major block of execution frames (`rows * slot_count_`
@@ -482,8 +433,9 @@ class RuleExecutor {
   /// non-binding, non-delta relational steps into the closest preceding
   /// positive relational step's `fused` list and drops them from
   /// `batch_steps`. Runs break at comparisons, negated survivors and
-  /// binding steps so the logical counters (bindings/comparisons) stay
-  /// bit-identical to the per-tuple order.
+  /// binding steps, so every comparison still sees exactly the frames
+  /// of the planned order and the logical counters (bindings/
+  /// comparisons) do not depend on the fusion.
   static void FuseBatchChecks(Plan* plan, int delta_literal);
 
   /// Folds one execution call's per-original-literal match counts into
@@ -497,10 +449,6 @@ class RuleExecutor {
                       const std::vector<uint64_t>& literal_bindings,
                       size_t morsel_begin, size_t morsel_end) const;
 
-  void ExecuteStep(const Plan& plan, const RelationSource& source,
-                   int delta_literal, size_t step_index, ExecContext* ctx,
-                   const TupleSink& sink, EvalStats* stats) const;
-
   /// Batched engine: drains `ctx->steps[step_index].input` through the
   /// remaining steps, flushing intermediate blocks whenever they fill.
   void RunBatchFrom(const Plan& plan, const RelationSource& source,
@@ -508,7 +456,6 @@ class RuleExecutor {
                     const BatchSink& sink) const;
 
   Rule rule_;
-  std::vector<size_t> static_order_;
   /// Variable→slot table, sorted by symbol id. Slots are dense
   /// 0..slot_count_-1 (asserted in Create): frame blocks index by slot.
   std::vector<std::pair<SymbolId, uint32_t>> slots_;

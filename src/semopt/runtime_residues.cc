@@ -195,7 +195,9 @@ Result<Database> EvaluateWithRuntimeResidues(const Program& input,
       Relation& target = idb.GetOrCreate(variant->head().pred_id());
       // Buffer derivations: the rule may scan its own target relation.
       TupleBuffer buffer(variant->head().pred_id().arity);
-      exec->Execute(source, -1, [&](RowRef t) { buffer.Append(t); }, stats);
+      exec->Execute(source, -1,
+                    [&](const TupleBuffer& block) { buffer.AppendAll(block); },
+                    stats);
       for (size_t bi = 0; bi < buffer.size(); ++bi) {
         RowRef t = buffer.row(bi);
         if (target.Insert(t)) {
@@ -266,8 +268,10 @@ Result<Database> EvaluateWithRuntimeResidues(const Program& input,
           source.SetDelta(rec_pred, rule_delta[producer].get());
           Relation& target = idb.GetOrCreate(variant->head().pred_id());
           TupleBuffer buffer(variant->head().pred_id().arity);
-          exec->Execute(source, delta_literal,
-                        [&](RowRef t) { buffer.Append(t); }, stats);
+          exec->Execute(
+              source, delta_literal,
+              [&](const TupleBuffer& block) { buffer.AppendAll(block); },
+              stats);
           for (size_t bi = 0; bi < buffer.size(); ++bi) {
             RowRef t = buffer.row(bi);
             if (target.Insert(t)) {

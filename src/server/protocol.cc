@@ -29,17 +29,28 @@ std::string DecodeBodyLine(std::string_view line) {
 }
 
 std::optional<std::string> LineBuffer::PopLine() {
-  const size_t eol = buffer_.find('\n', read_);
-  if (eol == std::string::npos) return std::nullopt;
+  if (overflowed_) return std::nullopt;
+  const size_t eol = buffer_.find('\n', scanned_);
+  const size_t line_end = eol == std::string::npos ? buffer_.size() : eol;
+  if (line_end - read_ > kMaxLineBytes) {
+    overflowed_ = true;
+    std::string().swap(buffer_);
+    read_ = scanned_ = 0;
+    return std::nullopt;
+  }
+  if (eol == std::string::npos) {
+    scanned_ = buffer_.size();
+    return std::nullopt;
+  }
   size_t end = eol;
   if (end > read_ && buffer_[end - 1] == '\r') --end;
   std::string line = buffer_.substr(read_, end - read_);
-  read_ = eol + 1;
+  read_ = scanned_ = eol + 1;
   // Compact once the consumed prefix outweighs the unread tail: each
   // byte moves O(1) times amortized, however long the pipeline.
   if (read_ * 2 > buffer_.size()) {
     buffer_.erase(0, read_);
-    read_ = 0;
+    read_ = scanned_ = 0;
   }
   return line;
 }

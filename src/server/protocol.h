@@ -38,18 +38,39 @@ std::string DecodeBodyLine(std::string_view line);
 /// Popping advances a read offset instead of erasing the line from the
 /// front of the buffer, so draining N pipelined lines costs O(total
 /// bytes), not O(N * buffered bytes); the consumed prefix is compacted
-/// away once it grows past half the buffer.
+/// away once it grows past half the buffer. A search for the next
+/// newline resumes where the previous one stopped, so a long line that
+/// arrives in many small chunks is scanned once, not once per chunk.
+///
+/// A line longer than kMaxLineBytes (terminated or not) overflows the
+/// buffer: PopLine releases every buffered byte, `overflowed()` turns
+/// true, and from then on Feed drops its input and PopLine returns
+/// nullopt. The server answers an overflowed session with one error
+/// response and closes it, so no client can grow a session's buffer
+/// without bound.
 class LineBuffer {
  public:
-  void Feed(std::string_view bytes) { buffer_.append(bytes); }
+  /// Longest accepted line, terminator excluded.
+  static constexpr size_t kMaxLineBytes = size_t{16} << 20;
 
-  /// Next complete line, or nullopt when no full line is buffered.
+  void Feed(std::string_view bytes) {
+    if (!overflowed_) buffer_.append(bytes);
+  }
+
+  /// Next complete line, or nullopt when no full line is buffered (or
+  /// the buffer has overflowed).
   std::optional<std::string> PopLine();
+
+  bool overflowed() const { return overflowed_; }
 
  private:
   std::string buffer_;
   /// Bytes of `buffer_` already returned by PopLine.
   size_t read_ = 0;
+  /// End of the newline-free run after `read_` that earlier searches
+  /// already covered.
+  size_t scanned_ = 0;
+  bool overflowed_ = false;
 };
 
 }  // namespace semopt

@@ -186,6 +186,14 @@ void QueryServer::ServeConnection(int fd) {
       if (processor.done()) open = false;
     }
     if (!open) break;
+    if (lines.overflowed()) {
+      // An over-long request line gets one error response, then the
+      // session closes: its bytes are already released.
+      SendAll(fd, EncodeResponse(StrCat("error: request line longer than ",
+                                        LineBuffer::kMaxLineBytes,
+                                        " bytes; closing session")));
+      break;
+    }
     ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;  // disconnect (or Stop's shutdown)

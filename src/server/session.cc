@@ -383,7 +383,6 @@ std::string SessionCommandProcessor::HandleCommand(std::string_view line) {
   }
   if (cmd == ".materialize") return CmdMaterialize(args);
   if (cmd == ".threads" || cmd == ":threads") return CmdThreads(args);
-  if (cmd == ".batch" || cmd == ":batch") return CmdBatch(args);
   if (cmd == ".plan" || cmd == ":plan") return CmdPlan(args);
   if (cmd == ".trace" || cmd == ":trace") return CmdTrace(args);
   if (cmd == ".metrics" || cmd == ":metrics") return CmdMetrics(args);
@@ -448,7 +447,6 @@ commands:
   :load FILE               bulk-load a binary snapshot (made by :dump)
   .stats [on|off]          show evaluation statistics with query answers
   :threads [N]             evaluate with N lanes (default 1, 0 = auto)
-  :batch [N]               batched executor block size (default 1024)
   :simd [on|off|auto]      vectorized executor kernels (auto = detect)
   :planner [greedy|cost]   join-order planner (cost = enumerated from
                            sizes/distincts + runtime feedback)
@@ -662,25 +660,6 @@ std::string SessionCommandProcessor::CmdThreads(
   }
   return StrCat("threads ", eval_options_.num_threads,
                 eval_options_.num_threads == 1 ? "" : " (morsel-parallel)");
-}
-
-std::string SessionCommandProcessor::CmdBatch(
-    const std::vector<std::string>& args) {
-  if (args.empty()) {
-    return StrCat("batch ", eval_options_.batch_size);
-  }
-  char* end = nullptr;
-  long n = std::strtol(args[0].c_str(), &end, 10);
-  if (end == args[0].c_str() || *end != '\0' || n < 0 || n > 1048576) {
-    return "usage: :batch N  (rows per block, default 1024, max 1048576)";
-  }
-  EvalOptions candidate = eval_options_;
-  candidate.batch_size = static_cast<size_t>(n);
-  if (Status s = ValidateEvalOptions(candidate); !s.ok()) {
-    return s.ToString();
-  }
-  eval_options_ = candidate;
-  return StrCat("batch ", eval_options_.batch_size);
 }
 
 std::string SessionCommandProcessor::CmdPlan(

@@ -181,7 +181,6 @@ class SessionCommandProcessor {
   std::string CmdMaterialize(const std::vector<std::string>& args);
 
   std::string CmdThreads(const std::vector<std::string>& args);
-  std::string CmdBatch(const std::vector<std::string>& args);
   std::string CmdTrace(const std::vector<std::string>& args);
   std::string CmdMetrics(const std::vector<std::string>& args);
   std::string CmdPlan(const std::vector<std::string>& args);

@@ -30,7 +30,6 @@ namespace semopt {
 ///   ?- p(X), X != a.         run a query
 ///   .command [args]          session commands (see `.help`)
 ///   :threads N               evaluate queries with N worker lanes
-///   :batch N                 batched executor block size
 ///   :trace FILE / :trace off start/stop a Chrome trace_event session
 ///   :metrics [on|off]        per-rule metrics collection + report
 ///   :planner greedy|cost     join-order planner for query evaluation

@@ -16,6 +16,7 @@
 namespace semopt {
 namespace {
 
+using testing_util::ExpectRuleMatchesReference;
 using testing_util::MustEvaluate;
 using testing_util::MustParse;
 using testing_util::MustParseFacts;
@@ -61,11 +62,14 @@ TEST(PlannerTest, ProbesSmallerRelationFirstOnTies) {
   DbSource source(&db);
   EvalStats stats;
   size_t results = 0;
-  exec->Execute(source, -1, [&](RowRef) { ++results; }, &stats);
+  exec->Execute(source, -1,
+                [&](const TupleBuffer& block) { results += block.size(); },
+                &stats);
   EXPECT_EQ(results, 1u);
   // small scan (1) + probe into big on X (1 match) = 2 bindings. A
   // big-first plan would explore 201.
   EXPECT_LE(stats.bindings_explored, 2u);
+  EXPECT_LE(ExpectRuleMatchesReference(rule, db).bindings_explored, 2u);
 }
 
 TEST(PlannerTest, DeltaRelationSizeInformsThePlan) {
@@ -87,9 +91,13 @@ TEST(PlannerTest, DeltaRelationSizeInformsThePlan) {
   EvalStats stats;
   size_t results = 0;
   exec->Execute(source, /*delta_literal=*/0,
-                [&](RowRef) { ++results; }, &stats);
+                [&](const TupleBuffer& block) { results += block.size(); },
+                &stats);
   EXPECT_EQ(results, 1u);
   EXPECT_LE(stats.bindings_explored, 2u);
+  EXPECT_LE(ExpectRuleMatchesReference(rule, db, /*delta_literal=*/0, &delta)
+                .bindings_explored,
+            2u);
 }
 
 TEST(ExecutorDeltaTest, DeltaLiteralReadsDeltaOthersReadFull) {
@@ -106,10 +114,15 @@ TEST(ExecutorDeltaTest, DeltaLiteralReadsDeltaOthersReadFull) {
   source.SetDelta(Pred("p", 1), &delta);
   std::vector<std::string> rows;
   exec->Execute(source, /*delta_literal=*/0,
-                [&](RowRef t) { rows.push_back(TupleToString(t)); },
+                [&](const TupleBuffer& block) {
+                  for (size_t i = 0; i < block.size(); ++i) {
+                    rows.push_back(TupleToString(block.row(i)));
+                  }
+                },
                 nullptr);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0], "(delta_only, full_only)");
+  ExpectRuleMatchesReference(rule, db, /*delta_literal=*/0, &delta);
 }
 
 TEST(MagicSlicingTest, OffPathFanOutLiteralsStayOutOfMagicRules) {

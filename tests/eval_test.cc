@@ -15,6 +15,7 @@
 namespace semopt {
 namespace {
 
+using testing_util::ExpectRuleMatchesReference;
 using testing_util::MustEvaluate;
 using testing_util::MustParse;
 using testing_util::MustParseConstraint;
@@ -23,6 +24,7 @@ using testing_util::MustParseRule;
 using testing_util::RelationRows;
 using testing_util::RelationSize;
 using testing_util::ReferenceEvaluate;
+using testing_util::RunRuleBatched;
 
 TEST(BuiltinsTest, CompareValues) {
   EXPECT_LT(CompareValues(Term::Int(1), Term::Int(2)), 0);
@@ -65,7 +67,11 @@ std::vector<std::string> RunRule(const Rule& rule, const Database& db) {
   if (!exec.ok()) return out;
   DatabaseSource source(&db);
   exec->Execute(source, -1,
-                [&](RowRef t) { out.push_back(TupleToString(t)); },
+                [&](const TupleBuffer& block) {
+                  for (size_t i = 0; i < block.size(); ++i) {
+                    out.push_back(TupleToString(block.row(i)));
+                  }
+                },
                 nullptr);
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
@@ -137,87 +143,24 @@ TEST(RuleExecutorTest, PlanPutsFiltersEarly) {
   Rule rule = MustParseRule("p(X, Y) :- n(X), e(X, Y), X > 1");
   Result<RuleExecutor> exec = RuleExecutor::Create(rule);
   ASSERT_TRUE(exec.ok());
-  const std::vector<size_t>& order = exec->plan_order();
-  // X > 1 (index 2) must come right after n(X) (index 0), before e.
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 0u);
-  EXPECT_EQ(order[1], 2u);
-  EXPECT_EQ(order[2], 1u);
+  Database db;
+  DatabaseSource source(&db);
+  Result<RuleExecutor::PreparedPlan> plan =
+      exec->Prepare(source, -1, /*size_aware=*/false);
+  ASSERT_TRUE(plan.ok());
+  // X > 1 must come right after n(X), before e probes on X.
+  const std::string text = exec->DescribePlan(*plan);
+  const size_t scan = text.find("1. n(X)  [scan]");
+  const size_t filter = text.find("2. X > 1  [filter]");
+  const size_t probe = text.find("3. e(X, Y)  [probe cols 0]");
+  EXPECT_NE(scan, std::string::npos) << text;
+  EXPECT_NE(filter, std::string::npos) << text;
+  EXPECT_NE(probe, std::string::npos) << text;
 }
 
 // ---------------------------------------------------- batched execution
 
-/// Per-tuple reference: every derived head tuple (duplicates kept),
-/// sorted for order-insensitive multiset comparison.
-std::vector<std::string> RunRulePerTuple(const RuleExecutor& exec,
-                                         const RelationSource& source,
-                                         int delta_literal,
-                                         EvalStats* stats = nullptr) {
-  std::vector<std::string> out;
-  exec.Execute(source, delta_literal,
-               [&](RowRef t) { out.push_back(TupleToString(t)); }, stats);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-/// Batched run at `batch_size`, same multiset convention. `vectorize`
-/// selects the SIMD/selection-vector paths vs. the scalar loops — both
-/// must be bit-identical.
-std::vector<std::string> RunRuleBatched(const RuleExecutor& exec,
-                                        const RelationSource& source,
-                                        int delta_literal, size_t batch_size,
-                                        EvalStats* stats = nullptr,
-                                        bool vectorize = true) {
-  Result<RuleExecutor::PreparedPlan> plan =
-      exec.Prepare(source, delta_literal);
-  EXPECT_TRUE(plan.ok()) << plan.status();
-  std::vector<std::string> out;
-  if (!plan.ok()) return out;
-  exec.ExecutePlanBatched(
-      *plan, source, delta_literal,
-      [&](const TupleBuffer& block) {
-        EXPECT_LE(block.size(), batch_size);
-        for (size_t i = 0; i < block.size(); ++i) {
-          out.push_back(TupleToString(block.row(i)));
-        }
-      },
-      stats, batch_size, /*morsel_begin=*/0, RuleExecutor::kNoMorsel,
-      /*scratch=*/nullptr, vectorize);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-/// Asserts the batched executor derives the per-tuple multiset with
-/// identical logical counters, across block sizes that force mid-scan
-/// flushes (1, 2, 3) and one that never flushes early (1024) — and,
-/// orthogonally, with the vectorized paths on and off (the SIMD axis of
-/// the differential grid).
-void ExpectBatchedMatchesPerTuple(const Rule& rule, const Database& db,
-                                  int delta_literal = -1,
-                                  const RelationSource* custom = nullptr) {
-  Result<RuleExecutor> exec = RuleExecutor::Create(rule);
-  ASSERT_TRUE(exec.ok()) << exec.status();
-  DatabaseSource db_source(&db);
-  const RelationSource& source = custom != nullptr ? *custom : db_source;
-  EvalStats reference_stats;
-  std::vector<std::string> reference =
-      RunRulePerTuple(*exec, source, delta_literal, &reference_stats);
-  for (size_t batch_size : {size_t{1}, size_t{2}, size_t{3}, size_t{1024}}) {
-    for (bool vectorize : {false, true}) {
-      EvalStats stats;
-      EXPECT_EQ(RunRuleBatched(*exec, source, delta_literal, batch_size,
-                               &stats, vectorize),
-                reference)
-          << rule << " batch_size=" << batch_size << " simd=" << vectorize;
-      EXPECT_EQ(stats.bindings_explored, reference_stats.bindings_explored)
-          << rule << " batch_size=" << batch_size << " simd=" << vectorize;
-      EXPECT_EQ(stats.comparison_checks, reference_stats.comparison_checks)
-          << rule << " batch_size=" << batch_size << " simd=" << vectorize;
-    }
-  }
-}
-
-TEST(BatchedExecutorTest, MatchesPerTupleAcrossLiteralShapes) {
+TEST(BatchedExecutorTest, MatchesReferenceAcrossLiteralShapes) {
   Database db = MustParseFacts(R"(
     e(a, b). e(a, c). e(b, c). e(c, d). e(d, d).
     n(1). n(2). n(3). n(4).
@@ -233,7 +176,7 @@ TEST(BatchedExecutorTest, MatchesPerTupleAcrossLiteralShapes) {
            "p(k, X) :- n(X), X != 2",
            "p(X, Z) :- e(X, Y), e(Y, Z), e(X, Z)",
        }) {
-    ExpectBatchedMatchesPerTuple(MustParseRule(rule), db);
+    ExpectRuleMatchesReference(MustParseRule(rule), db);
   }
 }
 
@@ -242,7 +185,7 @@ TEST(BatchedExecutorTest, ColumnarScanChecksMatchAtScale) {
   // repeat-variable and bound-slot scan checks over int, symbol and
   // mixed-kind columns — the shapes the ColumnView selection-vector
   // path rewrites. Small relations take the scalar scan; these must
-  // agree with the per-tuple reference either way.
+  // agree with the reference either way.
   Database db;
   for (int i = 0; i < 300; ++i) {
     db.AddTuple("big", {Term::Int(i % 9), Term::Int(i % 11), Term::Int(i)});
@@ -261,15 +204,15 @@ TEST(BatchedExecutorTest, ColumnarScanChecksMatchAtScale) {
            "p(X, Z) :- probe(X), big(X, Y, Z), not veto(Y)",  // negation
            "p(X, Z) :- big(X, Y, Z), Y < 3, Z > 50",  // comparison filters
        }) {
-    ExpectBatchedMatchesPerTuple(MustParseRule(rule), db);
+    ExpectRuleMatchesReference(MustParseRule(rule), db);
   }
 }
 
 TEST(BatchedExecutorTest, ArityZeroHeadEmitsOncePerBinding) {
   Database db = MustParseFacts("n(1). n(2). n(3).");
-  // Per-tuple derives ok() once per surviving binding; the batched path
-  // must produce the same multiset (set semantics dedups later).
-  ExpectBatchedMatchesPerTuple(MustParseRule("ok() :- n(X), X > 1"), db);
+  // ok() is derived once per surviving binding, as the reference does
+  // (set semantics dedups later).
+  ExpectRuleMatchesReference(MustParseRule("ok() :- n(X), X > 1"), db);
   Result<RuleExecutor> exec =
       RuleExecutor::Create(MustParseRule("ok() :- n(X), X > 1"));
   ASSERT_TRUE(exec.ok());
@@ -281,31 +224,14 @@ TEST(BatchedExecutorTest, ArityZeroHeadEmitsOncePerBinding) {
 TEST(BatchedExecutorTest, ConstantOnlyAndFactBodies) {
   Database db = MustParseFacts("present(a).");
   // Empty body: the seed frame flows straight to head emission.
-  ExpectBatchedMatchesPerTuple(MustParseRule("unit(a, 1)."), db);
+  ExpectRuleMatchesReference(MustParseRule("unit(a, 1)."), db);
   // Comparison-only body over constants.
-  ExpectBatchedMatchesPerTuple(MustParseRule("one(1) :- 1 < 2"), db);
-  ExpectBatchedMatchesPerTuple(MustParseRule("none(1) :- 2 < 1"), db);
+  ExpectRuleMatchesReference(MustParseRule("one(1) :- 1 < 2"), db);
+  ExpectRuleMatchesReference(MustParseRule("none(1) :- 2 < 1"), db);
   // Negation-only body (ground negated atom).
-  ExpectBatchedMatchesPerTuple(MustParseRule("q(a) :- not absent(a)"), db);
-  ExpectBatchedMatchesPerTuple(MustParseRule("q(a) :- not present(a)"), db);
+  ExpectRuleMatchesReference(MustParseRule("q(a) :- not absent(a)"), db);
+  ExpectRuleMatchesReference(MustParseRule("q(a) :- not present(a)"), db);
 }
-
-/// Full relations from `full`, plus one explicit delta relation.
-class DeltaDbSource : public RelationSource {
- public:
-  DeltaDbSource(const Database* full, const Relation* delta)
-      : full_(full), delta_(delta) {}
-  const Relation* Full(const PredicateId& pred) const override {
-    return full_->Find(pred);
-  }
-  const Relation* Delta(const PredicateId& pred) const override {
-    return pred == delta_->pred() ? delta_ : nullptr;
-  }
-
- private:
-  const Database* full_;
-  const Relation* delta_;
-};
 
 TEST(BatchedExecutorTest, DeltaOnLastPlannedLiteral) {
   // e is larger, so cardinality planning scans t first and probes e;
@@ -318,14 +244,12 @@ TEST(BatchedExecutorTest, DeltaOnLastPlannedLiteral) {
   Relation delta(PredicateId{InternSymbol("e"), 2});
   delta.Insert(Tuple{Term::Sym("b"), Term::Sym("y")});
   delta.Insert(Tuple{Term::Sym("c"), Term::Sym("z")});
-  DeltaDbSource source(&db, &delta);
   Rule rule = MustParseRule("p(X, Y) :- t(X, Z), e(Z, Y)");
-  ExpectBatchedMatchesPerTuple(rule, db, /*delta_literal=*/1, &source);
+  ExpectRuleMatchesReference(rule, db, /*delta_literal=*/1, &delta);
   // And on the leading literal for contrast.
   Relation tdelta(PredicateId{InternSymbol("t"), 2});
   tdelta.Insert(Tuple{Term::Sym("b"), Term::Sym("c")});
-  DeltaDbSource tsource(&db, &tdelta);
-  ExpectBatchedMatchesPerTuple(rule, db, /*delta_literal=*/0, &tsource);
+  ExpectRuleMatchesReference(rule, db, /*delta_literal=*/0, &tdelta);
 }
 
 /// DescribePlan line for the literal whose text contains `needle`.
@@ -371,7 +295,7 @@ TEST(BatchFusionTest, TrailingSemiJoinFusesIntoHostStep) {
   EXPECT_EQ(PlanLineFor(text, "small(").find("fused"), std::string::npos)
       << text;
   // Identical multiset and logical counters at every block size.
-  ExpectBatchedMatchesPerTuple(rule, db);
+  ExpectRuleMatchesReference(rule, db);
 }
 
 TEST(BatchFusionTest, NegatedCheckFusesIntoHostStep) {
@@ -385,17 +309,17 @@ TEST(BatchFusionTest, NegatedCheckFusesIntoHostStep) {
   EXPECT_NE(PlanLineFor(exec->DescribePlan(*plan, -1), "nope(")
                 .find("fused into prior step"),
             std::string::npos);
-  ExpectBatchedMatchesPerTuple(rule, db);
+  ExpectRuleMatchesReference(rule, db);
   // A fused negation against a relation with no facts at all also
-  // matches per-tuple (absent relation == empty == negation passes).
-  ExpectBatchedMatchesPerTuple(
+  // matches the reference (absent relation == empty == negation passes).
+  ExpectRuleMatchesReference(
       MustParseRule("p(X, Y) :- small(X, Y), not absent(X)"), db);
 }
 
 TEST(BatchFusionTest, ComparisonBreaksTheFusionRun) {
   // The comparison between the scan and the check resets the fusion
-  // host (comparison counters must stay bit-identical to per-tuple
-  // execution), so the check survives as its own batch step.
+  // host (every comparison must see the frames of the planned order),
+  // so the check survives as its own batch step.
   Database db = FusionDb();
   DatabaseSource source(&db);
   Rule rule = MustParseRule("p(X, Y) :- small(X, Y), X != Y, check(X)");
@@ -407,7 +331,7 @@ TEST(BatchFusionTest, ComparisonBreaksTheFusionRun) {
       PlanLineFor(exec->DescribePlan(*plan, -1), "check(").find("fused"),
       std::string::npos)
       << exec->DescribePlan(*plan, -1);
-  ExpectBatchedMatchesPerTuple(rule, db);
+  ExpectRuleMatchesReference(rule, db);
 }
 
 TEST(BatchFusionTest, DeltaOccurrenceIsNeverFused) {
@@ -431,42 +355,35 @@ TEST(BatchFusionTest, DeltaOccurrenceIsNeverFused) {
 
   Relation delta(PredicateId{InternSymbol("m"), 2});
   delta.Insert(Tuple{Term::Sym("c"), Term::Sym("a")});
-  DeltaDbSource delta_source(&db, &delta);
-  ExpectBatchedMatchesPerTuple(rule, db, /*delta_literal=*/1, &delta_source);
+  ExpectRuleMatchesReference(rule, db, /*delta_literal=*/1, &delta);
 }
 
 TEST(PlanApiTest, FirstPositiveStepAndProbeColumns) {
   Database db = MustParseFacts("e(a, b). e(b, c). n(1).");
   DatabaseSource source(&db);
+  auto describe = [&](const char* rule) {
+    Result<RuleExecutor> exec = RuleExecutor::Create(MustParseRule(rule));
+    EXPECT_TRUE(exec.ok()) << exec.status();
+    if (!exec.ok()) return std::string();
+    Result<RuleExecutor::PreparedPlan> plan = exec->Prepare(source, -1);
+    EXPECT_TRUE(plan.ok()) << plan.status();
+    return plan.ok() ? exec->DescribePlan(*plan) : std::string();
+  };
 
-  // Join: the second e occurrence probes on its bound first column.
-  Result<RuleExecutor> join =
-      RuleExecutor::Create(MustParseRule("p(X, Z) :- e(X, Y), e(Y, Z)"));
-  ASSERT_TRUE(join.ok());
-  Result<RuleExecutor::PreparedPlan> join_plan = join->Prepare(source, -1);
-  ASSERT_TRUE(join_plan.ok());
-  EXPECT_EQ(join->FirstPositiveStep(*join_plan), 0);
-  EXPECT_EQ(join->ProbeColumnsFor(*join_plan, 0),
-            (std::vector<uint32_t>{}));  // leading literal: full scan
-  EXPECT_EQ(join->ProbeColumnsFor(*join_plan, 1),
-            (std::vector<uint32_t>{0}));
+  // Join: the leading e is the first positive step and scans; the
+  // second e occurrence probes on its bound first column.
+  const std::string join = describe("p(X, Z) :- e(X, Y), e(Y, Z)");
+  EXPECT_NE(join.find("1. e(X, Y)  [scan]"), std::string::npos) << join;
+  EXPECT_NE(join.find("2. e(Y, Z)  [probe cols 0]"), std::string::npos)
+      << join;
 
-  // Comparison-only body: no positive step at all.
-  Result<RuleExecutor> cmp =
-      RuleExecutor::Create(MustParseRule("one(1) :- 1 < 2"));
-  ASSERT_TRUE(cmp.ok());
-  Result<RuleExecutor::PreparedPlan> cmp_plan = cmp->Prepare(source, -1);
-  ASSERT_TRUE(cmp_plan.ok());
-  EXPECT_EQ(cmp->FirstPositiveStep(*cmp_plan), -1);
-  EXPECT_EQ(cmp->ProbeColumnsFor(*cmp_plan, 0), (std::vector<uint32_t>{}));
-
-  // Negation-only body: negated steps are not positive steps.
-  Result<RuleExecutor> neg =
-      RuleExecutor::Create(MustParseRule("q(a) :- not bad(a)"));
-  ASSERT_TRUE(neg.ok());
-  Result<RuleExecutor::PreparedPlan> neg_plan = neg->Prepare(source, -1);
-  ASSERT_TRUE(neg_plan.ok());
-  EXPECT_EQ(neg->FirstPositiveStep(*neg_plan), -1);
+  // Comparison-only and negation-only bodies: no positive step at all.
+  for (const char* rule : {"one(1) :- 1 < 2", "q(a) :- not bad(a)"}) {
+    const std::string text = describe(rule);
+    EXPECT_NE(text.find("1. "), std::string::npos) << text;
+    EXPECT_EQ(text.find("[scan]"), std::string::npos) << text;
+    EXPECT_EQ(text.find("[probe"), std::string::npos) << text;
+  }
 }
 
 TEST(PlanApiTest, DescribePlanShowsAccessPathsAndDelta) {
@@ -1111,6 +1028,7 @@ TEST(ConstraintCheckTest, RepairByDeletionReachesConsistency) {
       MustParseConstraint("n(X), X > 10 -> ."),
       MustParseConstraint("m(X) -> n(X).")};
   Database db = MustParseFacts("n(5). n(11). m(11). m(5).");
+  db.FindMutable(PredicateId{InternSymbol("n"), 1})->EnsureIndex({0});
   Result<size_t> deleted = RepairByDeletion(&db, ics);
   ASSERT_TRUE(deleted.ok());
   // n(11) violates the denial; deleting it makes m(11) dangling, which
@@ -1121,6 +1039,14 @@ TEST(ConstraintCheckTest, RepairByDeletionReachesConsistency) {
   }
   EXPECT_EQ(RelationRows(db, "n", 1), (std::vector<std::string>{"(5)"}));
   EXPECT_EQ(RelationRows(db, "m", 1), (std::vector<std::string>{"(5)"}));
+  // The repair point-deletes, so an index built before it stays in step:
+  // probing n through it finds only the survivor.
+  const Relation* n = db.Find(PredicateId{InternSymbol("n"), 1});
+  ASSERT_NE(n, nullptr);
+  const std::vector<RowId>& hits = n->Probe({0}, Tuple{Term::Int(5)});
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(TupleToString(n->row(hits[0])), "(5)");
+  EXPECT_TRUE(n->Probe({0}, Tuple{Term::Int(11)}).empty());
 }
 
 }  // namespace

@@ -2,12 +2,13 @@
 #define SEMOPT_TESTS_REFERENCE_EVAL_H_
 
 // A naive, stratified bottom-up evaluator: the oracle the fixpoint
-// engine is checked against. It shares no code with the engine — no
-// RuleExecutor, PlanComponents, plan cache or src/exec/ — and reads
-// only the AST and the Database: relations are copied into std::sets,
-// every rule of a stratum re-runs over them until nothing changes, and
-// each body is solved one literal at a time, matching the rows that
-// agree on the literal's first bound column.
+// engine is checked against, plus its one-rule form (ReferenceRuleRows)
+// that the rule executor is checked against. It shares no code with the
+// engine — no RuleExecutor, PlanComponents, plan cache or src/exec/ —
+// and reads only the AST and the Database: relations are copied into
+// std::sets, every rule of a stratum re-runs over them until nothing
+// changes, and each body is solved one literal at a time, matching the
+// rows that agree on the literal's first bound column.
 
 #include <algorithm>
 #include <functional>
@@ -156,6 +157,29 @@ inline void Solve(const std::vector<Literal>& body, std::vector<bool>& done,
   done[next] = false;
 }
 
+/// Appends to `heads` one head row of `rule` per satisfying binding of
+/// `body` (the rule's own body, or a variant of it); false when the rule
+/// is unsafe.
+inline bool SolveHeads(const Rule& rule, const std::vector<Literal>& body,
+                       const Facts& facts, Index& index,
+                       std::vector<Tuple>* heads) {
+  std::vector<bool> done(body.size(), false);
+  Binding binding;
+  bool unsafe = false;
+  Solve(body, done, facts, index, binding,
+        [&](const Binding& b) {
+          Tuple head;
+          for (const Term& t : rule.head().args()) {
+            const Value* v = Lookup(t, b);
+            if (v == nullptr) return void(unsafe = true);
+            head.push_back(*v);
+          }
+          heads->push_back(std::move(head));
+        },
+        &unsafe);
+  return !unsafe;
+}
+
 }  // namespace reference_internal
 
 /// The least stratified model of `program` over `edb`: one relation per
@@ -201,21 +225,9 @@ inline Result<Database> ReferenceEvaluate(const Program& program,
       for (const Rule& rule : program.rules()) {
         if (stratum[rule.head().pred_id()] != s) continue;
         std::vector<Tuple> derived;
-        std::vector<bool> done(rule.body().size(), false);
-        Binding binding;
-        bool unsafe = false;
-        Solve(rule.body(), done, facts, index, binding,
-              [&](const Binding& b) {
-                Tuple head;
-                for (const Term& t : rule.head().args()) {
-                  const Value* v = Lookup(t, b);
-                  if (v == nullptr) return void(unsafe = true);
-                  head.push_back(*v);
-                }
-                derived.push_back(std::move(head));
-              },
-              &unsafe);
-        if (unsafe) return Status::InvalidArgument("reference: unsafe rule");
+        if (!SolveHeads(rule, rule.body(), facts, index, &derived)) {
+          return Status::InvalidArgument("reference: unsafe rule");
+        }
         index.clear();
         for (Tuple& t : derived) {
           changed = facts[rule.head().pred_id()].insert(std::move(t)).second ||
@@ -230,6 +242,44 @@ inline Result<Database> ReferenceEvaluate(const Program& program,
     for (const Tuple& t : facts[pred]) rel.Insert(t);
   }
   return idb;
+}
+
+/// Every head row `rule` derives over `db` in one application: one row
+/// per satisfying body binding, duplicates kept, sorted. That multiset
+/// does not depend on join order, so it is the rule executor's oracle
+/// at any plan, block size or kernel choice. When `delta_literal` >= 0,
+/// that body literal (a positive relational one) reads `delta` — as a
+/// semi-naive delta variant does — and every other literal reads `db`.
+/// Fails on unsafe rules.
+inline Result<std::vector<Tuple>> ReferenceRuleRows(
+    const Rule& rule, const Database& db, int delta_literal = -1,
+    const Relation* delta = nullptr) {
+  using namespace reference_internal;
+  Facts facts;
+  for (const PredicateId& p : db.Predicates()) {
+    for (RowRef row : db.Find(p)->rows()) {
+      facts[p].emplace(row.begin(), row.end());
+    }
+  }
+  // The delta occurrence reads a private predicate holding the delta
+  // rows, so Solve needs no notion of deltas.
+  std::vector<Literal> body = rule.body();
+  if (delta_literal >= 0) {
+    Literal& lit = body[static_cast<size_t>(delta_literal)];
+    const Atom renamed("reference$delta", lit.atom().args());
+    std::set<Tuple>& rows = facts[renamed.pred_id()];
+    if (delta != nullptr) {
+      for (RowRef row : delta->rows()) rows.emplace(row.begin(), row.end());
+    }
+    lit = Literal::Relational(renamed);
+  }
+  std::vector<Tuple> heads;
+  Index index;
+  if (!SolveHeads(rule, body, facts, index, &heads)) {
+    return Status::InvalidArgument("reference: unsafe rule");
+  }
+  std::sort(heads.begin(), heads.end());
+  return heads;
 }
 
 }  // namespace testing_util

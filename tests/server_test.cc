@@ -94,6 +94,44 @@ TEST(ProtocolTest, LineBufferDrainsAPipelinedBurstInOrder) {
   EXPECT_FALSE(buffer.PopLine().has_value());
 }
 
+TEST(ProtocolTest, LineBufferPopsAMegabyteLineFedByteByByte) {
+  // The server pops after every recv chunk; a search that rescanned the
+  // whole pending line each time would compare ~5 * 10^11 bytes here.
+  const std::string line(size_t{1} << 20, 'x');
+  LineBuffer buffer;
+  for (char c : line) {
+    buffer.Feed(std::string_view(&c, 1));
+    ASSERT_FALSE(buffer.PopLine().has_value());
+  }
+  buffer.Feed("\nnext\n");
+  EXPECT_EQ(buffer.PopLine(), line);
+  EXPECT_EQ(buffer.PopLine(), "next");
+  EXPECT_FALSE(buffer.overflowed());
+}
+
+TEST(ProtocolTest, LineBufferOverflowsPastTheCap) {
+  // Exactly the cap is still a line.
+  LineBuffer fits;
+  fits.Feed(std::string(LineBuffer::kMaxLineBytes, 'a'));
+  EXPECT_FALSE(fits.PopLine().has_value());
+  fits.Feed("\n");
+  std::optional<std::string> line = fits.PopLine();
+  ASSERT_TRUE(line.has_value());
+  EXPECT_EQ(line->size(), LineBuffer::kMaxLineBytes);
+  EXPECT_FALSE(fits.overflowed());
+
+  // One byte more, unterminated, overflows: the bytes are released and
+  // the buffer takes no more input, complete lines included.
+  LineBuffer over;
+  over.Feed("ok\n");
+  EXPECT_EQ(over.PopLine(), "ok");
+  over.Feed(std::string(LineBuffer::kMaxLineBytes + 1, 'b'));
+  EXPECT_FALSE(over.PopLine().has_value());
+  EXPECT_TRUE(over.overflowed());
+  over.Feed("\nlater\n");
+  EXPECT_FALSE(over.PopLine().has_value());
+}
+
 // --- socket test client ---
 
 /// Minimal blocking client for tests: send one request line, read one
@@ -116,9 +154,25 @@ class TestClient {
   }
 
   std::string Request(const std::string& line) {
-    std::string wire = line + "\n";
-    EXPECT_EQ(::send(fd_, wire.data(), wire.size(), MSG_NOSIGNAL),
-              static_cast<ssize_t>(wire.size()));
+    SendRaw(line + "\n");
+    return ReadResponse();
+  }
+
+  /// Sends `bytes` as they are, with no terminator added.
+  void SendRaw(std::string_view bytes) {
+    while (!bytes.empty()) {
+      ssize_t n = ::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) {
+        ADD_FAILURE() << "send failed: " << std::strerror(errno);
+        return;
+      }
+      bytes.remove_prefix(static_cast<size_t>(n));
+    }
+  }
+
+  /// Reads one dot-terminated response and returns the decoded body.
+  std::string ReadResponse() {
     std::string body;
     bool first = true;
     char buf[4096];
@@ -138,6 +192,13 @@ class TestClient {
       }
       lines_.Feed(std::string_view(buf, static_cast<size_t>(n)));
     }
+  }
+
+  /// True when the server has closed the connection and nothing more
+  /// is buffered.
+  bool Closed() {
+    char byte;
+    return !lines_.PopLine().has_value() && ::recv(fd_, &byte, 1, 0) == 0;
   }
 
  private:
@@ -484,6 +545,24 @@ TEST(DeltaPublishDifferentialTest, PlainWritesWithoutAView) {
                       ->Contains(Tuple{Term::Int(a), Term::Int(b)}));
     }
   }
+}
+
+TEST(QueryServerTest, OverlongLineGetsAnErrorAndClosesOnlyThatSession) {
+  QueryServer server(MustParseFacts("e(a, b)."));
+  ASSERT_TRUE(server.Start().ok());
+  TestClient bystander(server.port());
+  EXPECT_EQ(bystander.Request(".db e/2"), "e(a, b).");
+
+  // One byte past the cap, never terminated: the server reads it all,
+  // answers once and hangs up.
+  TestClient flooder(server.port());
+  flooder.SendRaw(std::string(LineBuffer::kMaxLineBytes + 1, 'x'));
+  EXPECT_NE(flooder.ReadResponse().find("request line longer than"),
+            std::string::npos);
+  EXPECT_TRUE(flooder.Closed());
+
+  EXPECT_EQ(bystander.Request(".db e/2"), "e(a, b).");
+  server.Stop();
 }
 
 TEST(QueryServerTest, StopDisconnectsIdleSessions) {

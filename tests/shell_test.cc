@@ -176,6 +176,9 @@ TEST_F(ShellTest, ResetAndQuit) {
 TEST_F(ShellTest, UnknownCommand) {
   EXPECT_NE(shell_.Execute(".frobnicate").find("unknown command"),
             std::string::npos);
+  // The block size is a library option only; the session has no command.
+  EXPECT_NE(shell_.Execute(":batch 8").find("unknown command"),
+            std::string::npos);
 }
 
 TEST_F(ShellTest, LoadProgramFile) {
@@ -298,25 +301,6 @@ TEST_F(ShellTest, ParallelSessionReachesSteadyStatePlanCacheHits) {
   EXPECT_NE(second.find("eval.plan_cache.miss=0"), std::string::npos)
       << second;
   EXPECT_NE(second.find("eval.morsels="), std::string::npos) << second;
-}
-
-TEST_F(ShellTest, BatchCommand) {
-  EXPECT_EQ(shell_.Execute(":batch"), "batch 1024");
-  EXPECT_EQ(shell_.Execute(":batch 1"), "batch 1");
-  shell_.Execute("t(X, Y) :- e(X, Y).");
-  shell_.Execute("e(a, b).");
-  EXPECT_NE(shell_.Execute("?- t(a, X).").find("1 answer(s)"),
-            std::string::npos);
-  EXPECT_EQ(shell_.Execute(":batch 256"), "batch 256");
-  EXPECT_NE(shell_.Execute("?- t(a, X).").find("1 answer(s)"),
-            std::string::npos);
-  // 0 parses but fails central validation (batch_size must be >= 1);
-  // the message comes from ValidateEvalOptions and the previous value
-  // is kept.
-  EXPECT_NE(shell_.Execute(":batch 0").find("batch_size"),
-            std::string::npos);
-  EXPECT_EQ(shell_.Execute(":batch"), "batch 256");
-  EXPECT_NE(shell_.Execute(":batch abc").find("usage:"), std::string::npos);
 }
 
 TEST_F(ShellTest, PlanCommandShowsJoinOrderAndProbeColumns) {

@@ -1,12 +1,15 @@
 #ifndef SEMOPT_TESTS_TEST_HELPERS_H_
 #define SEMOPT_TESTS_TEST_HELPERS_H_
 
+#include <algorithm>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "ast/program.h"
 #include "eval/fixpoint.h"
+#include "eval/rule_executor.h"
 #include "parser/parser.h"
 #include "reference_eval.h"
 #include "storage/database.h"
@@ -122,6 +125,99 @@ inline void ExpectMatchesReference(const Program& program, const Database& edb,
       }
     }
   }
+}
+
+/// Full relations from `full`; `delta`, when non-null, is the delta of
+/// its own predicate.
+class DeltaDbSource : public RelationSource {
+ public:
+  DeltaDbSource(const Database* full, const Relation* delta)
+      : full_(full), delta_(delta) {}
+  const Relation* Full(const PredicateId& pred) const override {
+    return full_->Find(pred);
+  }
+  const Relation* Delta(const PredicateId& pred) const override {
+    return delta_ != nullptr && pred == delta_->pred() ? delta_ : nullptr;
+  }
+
+ private:
+  const Database* full_;
+  const Relation* delta_;
+};
+
+/// One Prepare + ExecutePlanBatched run of `exec` at `batch_size`:
+/// every derived head row (duplicates kept) as sorted strings.
+/// `vectorize` selects the SIMD/selection-vector step paths or the
+/// scalar loops.
+inline std::vector<std::string> RunRuleBatched(
+    const RuleExecutor& exec, const RelationSource& source, int delta_literal,
+    size_t batch_size, EvalStats* stats = nullptr, bool vectorize = true,
+    PlannerMode planner = PlannerMode::kGreedy) {
+  Result<RuleExecutor::PreparedPlan> plan =
+      exec.Prepare(source, delta_literal, /*size_aware=*/true,
+                   /*partition=*/false, planner);
+  EXPECT_TRUE(plan.ok()) << plan.status();
+  std::vector<std::string> out;
+  if (!plan.ok()) return out;
+  exec.ExecutePlanBatched(
+      *plan, source, delta_literal,
+      [&](const TupleBuffer& block) {
+        EXPECT_LE(block.size(), batch_size);
+        for (size_t i = 0; i < block.size(); ++i) {
+          out.push_back(TupleToString(block.row(i)));
+        }
+      },
+      stats, batch_size, /*morsel_begin=*/0, RuleExecutor::kNoMorsel,
+      /*scratch=*/nullptr, vectorize);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Runs `rule` over `db` (its `delta_literal` reading `delta`) at block
+/// sizes {1, 2, 3, 1024} — three that force mid-scan flushes, one that
+/// never flushes early — × vectorized paths {off, on}, and expects
+/// every run to derive ReferenceRuleRows' head multiset, with
+/// bindings_explored and comparison_checks equal across the grid.
+/// Returns the stats of the last run, whose logical counters every run
+/// shares.
+inline EvalStats ExpectRuleMatchesReference(
+    const Rule& rule, const Database& db, int delta_literal = -1,
+    const Relation* delta = nullptr,
+    PlannerMode planner = PlannerMode::kGreedy) {
+  Result<RuleExecutor> exec = RuleExecutor::Create(rule);
+  Result<std::vector<Tuple>> reference =
+      ReferenceRuleRows(rule, db, delta_literal, delta);
+  if (!exec.ok() || !reference.ok()) {
+    ADD_FAILURE() << rule << ": " << exec.status() << " / "
+                  << reference.status();
+    return EvalStats();
+  }
+  std::vector<std::string> want;
+  for (const Tuple& t : *reference) want.push_back(TupleToString(t));
+  std::sort(want.begin(), want.end());
+  DeltaDbSource source(&db, delta);
+  std::optional<EvalStats> first;
+  EvalStats stats;
+  for (size_t batch_size : {size_t{1}, size_t{2}, size_t{3}, size_t{1024}}) {
+    for (bool vectorize : {false, true}) {
+      stats = EvalStats();
+      const std::string where = " batch_size=" + std::to_string(batch_size) +
+                                " simd=" + std::to_string(vectorize);
+      EXPECT_EQ(RunRuleBatched(*exec, source, delta_literal, batch_size,
+                               &stats, vectorize, planner),
+                want)
+          << rule << where;
+      if (!first.has_value()) {
+        first = stats;
+        continue;
+      }
+      EXPECT_EQ(stats.bindings_explored, first->bindings_explored)
+          << rule << where;
+      EXPECT_EQ(stats.comparison_checks, first->comparison_checks)
+          << rule << where;
+    }
+  }
+  return stats;
 }
 
 }  // namespace testing_util
