@@ -1,6 +1,7 @@
 #include "eval/constraint_check.h"
 
-#include <map>
+#include <algorithm>
+#include <sstream>
 
 #include "ast/rename.h"
 #include "eval/builtins.h"
@@ -12,41 +13,57 @@ namespace semopt {
 namespace {
 
 /// Enumerates the ground instantiations of `ic`'s body over `edb`,
-/// passing each complete variable binding (over CollectVariables of the
-/// body) to `on_binding`.
+/// passing each to `on_binding` as the values of `vars` (CollectVariables
+/// of the body), in order, until it returns false. The join runs one
+/// driving morsel of kDefaultBatchSize rows at a time and the stop is
+/// checked between morsels, so a check that knows its answer stops
+/// within one block of the join and no per-row test enters the executor.
 Status ForEachBodyBinding(
-    const Database& edb, const Constraint& ic,
-    const std::function<void(const std::map<SymbolId, Value>&)>& on_binding) {
-  std::vector<SymbolId> vars = CollectVariables(ic.body());
+    const Database& edb, const Constraint& ic, EvalStats* stats,
+    const std::function<bool(const std::vector<SymbolId>& vars, RowRef)>&
+        on_binding) {
+  const std::vector<SymbolId> vars = CollectVariables(ic.body());
   std::vector<Term> head_args;
   head_args.reserve(vars.size());
   for (SymbolId v : vars) head_args.push_back(Term::Var(v));
   Rule probe_rule("ic$probe", Atom("ic$body", head_args), ic.body());
   SEMOPT_ASSIGN_OR_RETURN(RuleExecutor exec, RuleExecutor::Create(probe_rule));
   DatabaseSource source(&edb);
-  exec.Execute(source, -1,
-               [&](const TupleBuffer& block) {
-                 for (size_t r = 0; r < block.size(); ++r) {
-                   RowRef t = block.row(r);
-                   std::map<SymbolId, Value> binding;
-                   for (size_t i = 0; i < vars.size(); ++i) {
-                     binding.emplace(vars[i], t[i]);
-                   }
-                   on_binding(binding);
-                 }
-               },
-               nullptr);
+  SEMOPT_ASSIGN_OR_RETURN(
+      RuleExecutor::PreparedPlan plan,
+      exec.Prepare(source, -1, /*size_aware=*/true, /*partition=*/true));
+  bool stopped = false;
+  const BatchSink sink = [&](const TupleBuffer& block) {
+    for (size_t r = 0; r < block.size() && !stopped; ++r) {
+      stopped = !on_binding(vars, block.row(r));
+    }
+  };
+  const int driving = exec.DrivingLiteral(plan);
+  if (driving < 0) {
+    exec.ExecutePlanBatched(plan, source, -1, sink, stats);
+    return Status::Ok();
+  }
+  const Relation* rel =
+      edb.Find(ic.body()[static_cast<size_t>(driving)].atom().pred_id());
+  const size_t n = rel == nullptr ? 0 : rel->size();
+  constexpr size_t kMorsel = RuleExecutor::kDefaultBatchSize;
+  for (size_t begin = 0; begin < n && !stopped; begin += kMorsel) {
+    exec.ExecutePlanBatched(plan, source, -1, sink, stats, kMorsel, begin,
+                            std::min(begin + kMorsel, n));
+  }
   return Status::Ok();
 }
 
-/// Checks the (possibly existential) IC head under `binding`. Head
-/// variables not bound by the body are existentially quantified.
+/// Checks the (possibly existential) IC head under the body binding
+/// `values` of `vars`. Head variables not bound by the body are
+/// existentially quantified.
 Result<bool> HeadHolds(const Database& edb, const Literal& head,
-                       const std::map<SymbolId, Value>& binding) {
+                       const std::vector<SymbolId>& vars, RowRef values) {
   auto resolve = [&](const Term& t) -> Term {
     if (t.IsVariable()) {
-      auto it = binding.find(t.symbol());
-      if (it != binding.end()) return it->second;
+      for (size_t i = 0; i < vars.size(); ++i) {
+        if (vars[i] == t.symbol()) return values[i];
+      }
     }
     return t;
   };
@@ -87,24 +104,30 @@ Result<bool> HeadHolds(const Database& edb, const Literal& head,
   return head.negated() ? !exists : exists;
 }
 
+/// Whether `ic` is violated under the body binding `values` of `vars`.
+Result<bool> Violated(const Database& edb, const Constraint& ic,
+                      const std::vector<SymbolId>& vars, RowRef values) {
+  if (!ic.head().has_value()) return true;  // denial: any body instance
+  SEMOPT_ASSIGN_OR_RETURN(bool holds,
+                          HeadHolds(edb, *ic.head(), vars, values));
+  return !holds;
+}
+
 }  // namespace
 
 Result<bool> Satisfies(const Database& edb, const Constraint& ic) {
   bool satisfied = true;
   Status head_status = Status::Ok();
   SEMOPT_RETURN_IF_ERROR(ForEachBodyBinding(
-      edb, ic, [&](const std::map<SymbolId, Value>& binding) {
-        if (!satisfied || !head_status.ok()) return;
-        if (!ic.head().has_value()) {
-          satisfied = false;  // denial: any body instance violates
-          return;
+      edb, ic, nullptr,
+      [&](const std::vector<SymbolId>& vars, RowRef values) {
+        Result<bool> violated = Violated(edb, ic, vars, values);
+        if (!violated.ok()) {
+          head_status = violated.status();
+          return false;
         }
-        Result<bool> holds = HeadHolds(edb, *ic.head(), binding);
-        if (!holds.ok()) {
-          head_status = holds.status();
-          return;
-        }
-        if (!*holds) satisfied = false;
+        satisfied = !*violated;
+        return satisfied;
       }));
   SEMOPT_RETURN_IF_ERROR(head_status);
   return satisfied;
@@ -112,27 +135,27 @@ Result<bool> Satisfies(const Database& edb, const Constraint& ic) {
 
 Result<std::vector<ConstraintViolation>> CheckConstraints(
     const Database& edb, const std::vector<Constraint>& ics,
-    size_t max_violations) {
+    size_t max_violations, EvalStats* stats) {
   std::vector<ConstraintViolation> violations;
   if (max_violations == 0) max_violations = 1;
   for (const Constraint& ic : ics) {
     if (violations.size() >= max_violations) break;
     Status head_status = Status::Ok();
     SEMOPT_RETURN_IF_ERROR(ForEachBodyBinding(
-        edb, ic, [&](const std::map<SymbolId, Value>& binding) {
-          if (violations.size() >= max_violations || !head_status.ok()) {
-            return;
+        edb, ic, stats,
+        [&](const std::vector<SymbolId>& vars, RowRef values) {
+          Result<bool> violated = Violated(edb, ic, vars, values);
+          if (!violated.ok()) {
+            head_status = violated.status();
+            return false;
           }
-          bool violated = true;
-          if (ic.head().has_value()) {
-            Result<bool> holds = HeadHolds(edb, *ic.head(), binding);
-            if (!holds.ok()) {
-              head_status = holds.status();
-              return;
+          if (*violated) {
+            // Variables in interned-id order.
+            std::vector<std::pair<SymbolId, Value>> binding;
+            for (size_t i = 0; i < vars.size(); ++i) {
+              binding.emplace_back(vars[i], values[i]);
             }
-            violated = !*holds;
-          }
-          if (violated) {
+            std::sort(binding.begin(), binding.end());
             std::ostringstream os;
             for (const auto& [var, value] : binding) {
               os << SymbolName(var) << "=" << value << " ";
@@ -140,6 +163,7 @@ Result<std::vector<ConstraintViolation>> CheckConstraints(
             violations.push_back(ConstraintViolation{
                 ic.label(), StrCat("violated under ", os.str())});
           }
+          return violations.size() < max_violations;
         }));
     SEMOPT_RETURN_IF_ERROR(head_status);
   }
@@ -167,23 +191,27 @@ Result<size_t> RepairByDeletion(Database* edb,
       TupleBuffer to_delete(first_db_atom->pred_id().arity);
       Status head_status = Status::Ok();
       SEMOPT_RETURN_IF_ERROR(ForEachBodyBinding(
-          *edb, ic, [&](const std::map<SymbolId, Value>& binding) {
-            if (!head_status.ok()) return;
-            bool violated = true;
-            if (ic.head().has_value()) {
-              Result<bool> holds = HeadHolds(*edb, *ic.head(), binding);
-              if (!holds.ok()) {
-                head_status = holds.status();
-                return;
-              }
-              violated = !*holds;
+          *edb, ic, nullptr,
+          [&](const std::vector<SymbolId>& vars, RowRef values) {
+            Result<bool> violated = Violated(*edb, ic, vars, values);
+            if (!violated.ok()) {
+              head_status = violated.status();
+              return false;
             }
-            if (!violated) return;
+            if (!*violated) return true;
             Tuple ground;
             for (const Term& t : first_db_atom->args()) {
-              ground.push_back(t.IsVariable() ? binding.at(t.symbol()) : t);
+              if (!t.IsVariable()) {
+                ground.push_back(t);
+                continue;
+              }
+              const size_t i = static_cast<size_t>(
+                  std::find(vars.begin(), vars.end(), t.symbol()) -
+                  vars.begin());
+              ground.push_back(values[i]);
             }
             to_delete.Append(RowRef(ground));
+            return true;
           }));
       SEMOPT_RETURN_IF_ERROR(head_status);
       if (to_delete.empty()) continue;

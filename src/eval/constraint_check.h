@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "ast/rule.h"
+#include "eval/eval_stats.h"
 #include "storage/database.h"
 #include "util/result.h"
 
@@ -24,10 +25,11 @@ struct ConstraintViolation {
 Result<bool> Satisfies(const Database& edb, const Constraint& ic);
 
 /// Checks all of `ics`; collects up to `max_violations` witnesses
-/// (0 = just report the first).
+/// (0 = just report the first), and stops the body joins once it has
+/// them. `stats`, when given, receives the joins' counters.
 Result<std::vector<ConstraintViolation>> CheckConstraints(
     const Database& edb, const std::vector<Constraint>& ics,
-    size_t max_violations = 1);
+    size_t max_violations = 1, EvalStats* stats = nullptr);
 
 /// Repairs `edb` in place so it satisfies `ics`, by *deleting* body-
 /// supporting facts of violated ground instances (the first database

@@ -346,13 +346,13 @@ Status IncrementalEvaluator::CompileStrata(
                                     RuleExecutor::Create(ir));
             s.insert_seeds.push_back(DeltaRule{std::move(iexec), pr.head,
                                                static_cast<int>(i), q,
-                                               false});
+                                               false, {}});
           } else {
             SEMOPT_ASSIGN_OR_RETURN(RuleExecutor iexec,
                                     RuleExecutor::Create(rule));
             s.insert_seeds.push_back(DeltaRule{std::move(iexec), pr.head,
                                                static_cast<int>(i), q,
-                                               true});
+                                               true, {}});
           }
         }
       }

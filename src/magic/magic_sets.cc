@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 
+#include "analysis/dependency_graph.h"
 #include "ast/rename.h"
 #include "eval/fixpoint.h"
 #include "eval/rule_executor.h"
@@ -131,6 +132,9 @@ Result<MagicRewrite> MagicSets(const Program& program, const Atom& query,
   worklist.push_back({query_pred, query_adornment});
   seen.insert({query_pred, query_adornment});
 
+  // IDB predicates the adorned rules read under negation: they keep
+  // their original (unadorned) rules.
+  std::set<PredicateId> negated_idb;
   int magic_rule_counter = 0;
   while (!worklist.empty()) {
     auto [pred, adornment] = worklist.front();
@@ -166,6 +170,9 @@ Result<MagicRewrite> MagicSets(const Program& program, const Atom& query,
           // occurrences bind their variables.
           new_body.push_back(lit);
           if (!lit.negated()) BindVars(atom.args(), &bound_vars);
+          if (lit.negated() && idb.count(atom.pred_id()) > 0) {
+            negated_idb.insert(atom.pred_id());
+          }
           continue;
         }
         // IDB body literal: derive its adornment from current bindings,
@@ -206,6 +213,19 @@ Result<MagicRewrite> MagicSets(const Program& program, const Atom& query,
           Atom(AdornedName(pred.name, adornment), rule.head().args()),
           std::move(new_body));
       out.program.AddRule(std::move(adorned_rule));
+    }
+  }
+  // A negated literal needs its predicate in full, so the rewrite
+  // carries the original rules of its dependency cone.
+  if (!negated_idb.empty()) {
+    const DependencyGraph graph = DependencyGraph::Build(program);
+    std::set<PredicateId> cone;
+    for (const PredicateId& q : negated_idb) {
+      const std::set<PredicateId> reach = graph.ReachableFrom(q);
+      cone.insert(reach.begin(), reach.end());
+    }
+    for (const Rule& rule : program.rules()) {
+      if (cone.count(rule.head().pred_id()) > 0) out.program.AddRule(rule);
     }
   }
   return out;

@@ -106,6 +106,17 @@ std::string QueryProfile::ToJson() const {
   AppendKeyU64(&out, "sid", ctx.session_id, &first);
   AppendKeyStr(&out, "query", query, &first);
   AppendKeyStr(&out, "class", query_class, &first);
+  AppendKeyStr(&out, "path", path, &first);
+  if (!pushed.empty()) {
+    out += ",\"pushed\":[";
+    for (size_t i = 0; i < pushed.size(); ++i) {
+      if (i > 0) out += ",";
+      out += '"';
+      AppendEscaped(&out, pushed[i]);
+      out += '"';
+    }
+    out += "]";
+  }
   if (!first) out += ",";
   first = false;
   out += ok ? "\"ok\":true" : "\"ok\":false";
@@ -178,6 +189,16 @@ std::string QueryProfile::Render() const {
   if (!ok) {
     out += "  status: ERROR ";
     out += error;
+    out += "\n";
+  }
+  if (!path.empty()) {
+    out += "  path: ";
+    out += path;
+    for (size_t i = 0; i < pushed.size(); ++i) {
+      out += i == 0 ? " (" : ", ";
+      out += pushed[i];
+    }
+    if (!pushed.empty()) out += ")";
     out += "\n";
   }
   AppendLine(&out, "  answers: %" PRIu64 "\n", answers);

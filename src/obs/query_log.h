@@ -47,6 +47,12 @@ struct QueryProfile {
   /// Admission class ("heavy"/"light"; "" when the host runs no
   /// scheduler).
   std::string query_class;
+  /// Query path ("edb", "pushed", "magic", "sliced"; "" when the query
+  /// failed before one was chosen). The admission class follows it.
+  std::string path;
+  /// Pushed path: the selections conjoined inside the recursion, e.g.
+  /// "anc[1] > 105".
+  std::vector<std::string> pushed;
   bool ok = true;
   /// Status text when !ok (parse or evaluation failure).
   std::string error;

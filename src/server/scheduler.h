@@ -16,8 +16,8 @@ namespace semopt {
 /// ones (and vice versa: an unbounded flood of light queries still
 /// leaves the heavy lanes intact).
 enum class QueryClass {
-  kLight,  // touches only EDB predicates: index probe, no fixpoint
-  kHeavy,  // touches at least one IDB predicate: runs a fixpoint
+  kLight,  // the edb query path: one rule over base relations
+  kHeavy,  // every other query path: runs a fixpoint
 };
 
 const char* QueryClassName(QueryClass c);

@@ -164,14 +164,8 @@ obs::QueryLog* SessionCommandProcessor::EffectiveQueryLog() {
   return host_->query_log();
 }
 
-QueryClass SessionCommandProcessor::Classify(const std::vector<Literal>& body,
-                                             const Program& program) {
-  const std::set<PredicateId> idb = program.IdbPredicates();
-  for (const Literal& lit : body) {
-    if (!lit.IsRelational()) continue;
-    if (idb.count(lit.atom().pred_id()) > 0) return QueryClass::kHeavy;
-  }
-  return QueryClass::kLight;
+QueryClass SessionCommandProcessor::Classify(QueryPath path) {
+  return path == QueryPath::kEdb ? QueryClass::kLight : QueryClass::kHeavy;
 }
 
 std::string SessionCommandProcessor::Execute(std::string_view raw) {
@@ -303,13 +297,23 @@ std::string SessionCommandProcessor::RunQueryProfiled(
   std::vector<Term> projection;
   for (SymbolId v : CollectVariables(*body)) projection.push_back(Term::Var(v));
 
+  // One decision picks the query path and, from it, the admission class.
+  Result<QueryPlan> plan = PlanQuery(program_, *body, projection);
+  if (!plan.ok()) {
+    profile.ok = false;
+    profile.error = plan.status().ToString();
+    return finish(plan.status().ToString());
+  }
+  profile.path = QueryPathName(plan->path);
+  profile.pushed = plan->pushed;
+
   // Admission (when the host schedules) happens before the snapshot is
   // pinned, so queued queries don't hold generations live while they
   // wait — and each query reads the freshest head at its start of
   // execution.
   SessionScheduler::Ticket ticket;
   if (host_->scheduler() != nullptr) {
-    const QueryClass cls = Classify(*body, program_);
+    const QueryClass cls = Classify(plan->path);
     profile.query_class = QueryClassName(cls);
     ticket = host_->scheduler()->Admit(cls, &profile.queue_wait_us);
   }
@@ -324,8 +328,9 @@ std::string SessionCommandProcessor::RunQueryProfiled(
 
   const uint64_t t_eval = NowNs();
   EvalStats stats;
-  Result<QueryResult> result = AnswerQuery(program_, snap.db(), *body,
-                                           projection, query_options, &stats);
+  Result<QueryResult> result =
+      RunQueryPlan(*plan, snap.db(), query_options, &stats);
+  last_plan_ = std::move(*plan);
   profile.eval_us = (NowNs() - t_eval) / 1000;
   FillProfileFromStats(stats, &profile);
   // Fold into the process-wide registry so `:stats` aggregates across
@@ -804,22 +809,13 @@ std::string SessionCommandProcessor::CmdProfile(std::string_view rest) {
 
   std::ostringstream os;
   os << last_profile_.Render();
-  // Annotated plans: the query ran as the rule `query$(vars) :- body`,
-  // exactly as AnswerQuery builds it, so extending the program the same
-  // way makes the query rule's own join plan part of the output (keyed
-  // "query$" in the per-rule stats).
-  Result<std::vector<Literal>> body = ParseLiteralList(query);
-  if (body.ok()) {
-    std::vector<Term> projection;
-    for (SymbolId v : CollectVariables(*body)) {
-      projection.push_back(Term::Var(v));
-    }
-    Atom head("query$answer", projection);
-    Program extended = program_;
-    extended.AddRule(Rule("query$", std::move(head), *body));
-    DatabaseSnapshot snap = host_->Snapshot();
-    os << ExplainAnalyze(extended, snap.db(), last_stats_, eval_options_);
-  }
+  // Annotated plans of the rules the query's path ran, the query rule
+  // `query$answer(vars) :- ...` included (keyed "query$" in the per-rule
+  // stats), over the database they read.
+  DatabaseSnapshot snap = host_->Snapshot();
+  os << ExplainAnalyze(last_plan_.program,
+                       QueryPlanDatabase(last_plan_, snap.db()), last_stats_,
+                       eval_options_);
   return os.str();
 }
 

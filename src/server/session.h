@@ -13,6 +13,7 @@
 #include "ast/program.h"
 #include "eval/fixpoint.h"
 #include "eval/plan_cache.h"
+#include "eval/query.h"
 #include "obs/query_log.h"
 #include "server/materialized_view.h"
 #include "server/scheduler.h"
@@ -134,11 +135,10 @@ class SessionCommandProcessor {
   /// later).
   void set_num_threads(size_t n) { eval_options_.num_threads = n; }
 
-  /// Admission class of a parsed query body: light iff no relational
-  /// literal resolves to an IDB predicate of `program` (such queries
-  /// are pure base-relation lookups; everything else runs a fixpoint).
-  static QueryClass Classify(const std::vector<Literal>& body,
-                             const Program& program);
+  /// Admission class of a query path: light for kEdb (one rule run
+  /// over the base relations), heavy for every path that runs a
+  /// fixpoint.
+  static QueryClass Classify(QueryPath path);
 
   /// This session's process-unique id (stamped into every profile).
   uint64_t session_id() const { return session_id_; }
@@ -210,6 +210,9 @@ class SessionCommandProcessor {
   std::string last_query_;
   /// Breakdown of the most recent query.
   obs::QueryProfile last_profile_;
+  /// Path and rules of the most recent query that ran (`:profile`
+  /// explains them).
+  QueryPlan last_plan_;
   bool have_last_profile_ = false;
   /// Session-private query log opened with `:qlog FILE` (shadows the
   /// host's); null = log to host_->query_log().

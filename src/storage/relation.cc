@@ -43,6 +43,13 @@ void Relation::FreeIndexes() {
     delete node;
     node = next;
   }
+  RequestNode* request = requested_head_.load(std::memory_order_acquire);
+  requested_head_.store(nullptr, std::memory_order_relaxed);
+  while (request != nullptr) {
+    RequestNode* next = request->next;
+    delete request;
+    request = next;
+  }
 }
 
 void Relation::CopyIndexesFrom(const Relation& other) {
@@ -84,10 +91,12 @@ Relation::Relation(Relation&& other) noexcept
     : pred_(other.pred_),
       store_(std::move(other.store_)),
       index_head_(other.index_head_.load(std::memory_order_acquire)),
+      requested_head_(other.requested_head_.load(std::memory_order_acquire)),
       index_mu_(std::move(other.index_mu_)),
       columns_(std::move(other.columns_)),
       stats_(std::move(other.stats_)) {
   other.index_head_.store(nullptr, std::memory_order_relaxed);
+  other.requested_head_.store(nullptr, std::memory_order_relaxed);
 }
 
 Relation& Relation::operator=(Relation&& other) noexcept {
@@ -98,6 +107,9 @@ Relation& Relation::operator=(Relation&& other) noexcept {
   index_head_.store(other.index_head_.load(std::memory_order_acquire),
                     std::memory_order_relaxed);
   other.index_head_.store(nullptr, std::memory_order_relaxed);
+  requested_head_.store(other.requested_head_.load(std::memory_order_acquire),
+                        std::memory_order_relaxed);
+  other.requested_head_.store(nullptr, std::memory_order_relaxed);
   index_mu_ = std::move(other.index_mu_);
   columns_ = std::move(other.columns_);
   stats_ = std::move(other.stats_);
@@ -403,6 +415,10 @@ void Relation::EnsureIndex(const std::vector<uint32_t>& columns) {
   std::lock_guard<std::mutex> lock(*index_mu_);
   // Another builder may have published this column set while we waited.
   if (FindIndex(columns) != nullptr) return;
+  requested_head_.store(
+      new RequestNode{columns,
+                      requested_head_.load(std::memory_order_relaxed)},
+      std::memory_order_release);
   IndexNode* node = new IndexNode();
   node->index.columns = columns;
   const size_t n = store_.size();
@@ -490,6 +506,12 @@ std::vector<std::vector<uint32_t>> Relation::IndexColumnSets() const {
   for (const IndexNode* n = index_head_.load(std::memory_order_acquire);
        n != nullptr; n = n->next) {
     sets.push_back(n->index.columns);
+  }
+  for (const RequestNode* r = requested_head_.load(std::memory_order_acquire);
+       r != nullptr; r = r->next) {
+    if (std::find(sets.begin(), sets.end(), r->columns) == sets.end()) {
+      sets.push_back(r->columns);
+    }
   }
   return sets;
 }

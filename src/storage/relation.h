@@ -246,10 +246,12 @@ class Relation {
   /// Number of secondary indexes currently materialized.
   size_t index_count() const;
 
-  /// The column sets of every materialized index. Safe to call
-  /// concurrently with EnsureIndex (same lock-free list walk as Probe):
-  /// the snapshot store reads a published relation's indexes to rebuild
-  /// them on the copy it is about to publish next.
+  /// The column sets of every materialized index and of every index an
+  /// EnsureIndex call has started building. Safe to call concurrently
+  /// with EnsureIndex (lock-free list walks, like Probe): the snapshot
+  /// store reads a published relation's indexes to build them on the
+  /// copy it is about to publish next, without waiting for a reader's
+  /// build in flight.
   std::vector<std::vector<uint32_t>> IndexColumnSets() const;
 
   std::string ToString() const;
@@ -315,6 +317,13 @@ class Relation {
   /// Head of the published index list (push-front). Lock-free readers
   /// acquire-load it; builders publish under `index_mu_`.
   std::atomic<IndexNode*> index_head_{nullptr};
+  /// Column sets EnsureIndex started building (push-front under
+  /// `index_mu_`, before the build; lock-free readers acquire-load it).
+  struct RequestNode {
+    std::vector<uint32_t> columns;
+    RequestNode* next;
+  };
+  std::atomic<RequestNode*> requested_head_{nullptr};
   /// Serializes index builders. unique_ptr keeps Relation movable.
   std::unique_ptr<std::mutex> index_mu_;
   /// Cached columnar snapshot (EnsureColumns). Guarded by `index_mu_`

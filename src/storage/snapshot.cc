@@ -1,11 +1,21 @@
 #include "storage/snapshot.h"
 
+#include <chrono>
 #include <set>
+#include <thread>
 #include <utility>
 
 #include "obs/metrics.h"
 
 namespace semopt {
+
+namespace {
+
+/// How long a delta write waits for readers to release the kept copies
+/// it needs before it clones the live relations instead.
+constexpr std::chrono::microseconds kKeptCopyWait{2000};
+
+}  // namespace
 
 void DatabaseSnapshot::Release() {
   // Drop the generation before unpinning: once a writer sees the pin
@@ -98,12 +108,31 @@ Result<uint64_t> SnapshotStore::ApplyDelta(const DeltaFn& fn) {
   // pinned one has released it. Deciding under mu_ orders this after
   // those readers' Unpin (their last access to the copy), and nothing
   // can re-acquire a kept copy — only this writer reaches kept_.
+  //
+  // Readers pin a generation for microseconds, so a kept copy this write
+  // needs is almost always released moments later: wait that out (up to
+  // kKeptCopyWait) rather than let one reader caught mid-query turn a
+  // sub-millisecond write into a copy of the whole relation.
+  size_t wanted = 0;
+  for (const auto& [pred, change] : delta) {
+    if (!change.empty() && kept_.count(pred) > 0) ++wanted;
+  }
   std::set<PredicateId> free;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [pred, kept] : kept_) {
-      if (kept.copy.use_count() == 1) free.insert(pred);
+  const auto deadline = std::chrono::steady_clock::now() + kKeptCopyWait;
+  while (true) {
+    free.clear();
+    size_t ready = 0;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (const auto& [pred, kept] : kept_) {
+        if (kept.copy.use_count() != 1) continue;
+        free.insert(pred);
+        auto it = delta.find(pred);
+        if (it != delta.end() && !it->second.empty()) ++ready;
+      }
     }
+    if (ready == wanted || std::chrono::steady_clock::now() >= deadline) break;
+    std::this_thread::yield();
   }
 
   auto next = std::make_shared<Database>(base->CloneShared());
@@ -115,20 +144,36 @@ Result<uint64_t> SnapshotStore::ApplyDelta(const DeltaFn& fn) {
     auto kept = kept_.find(pred);
     if (live == nullptr) {
       slot = std::make_shared<Relation>(pred);
-    } else if (kept != kept_.end() && kept->second.live == live.get() &&
-               free.count(pred) > 0) {
-      // Bring the kept copy up to the live relation, then give it every
-      // index readers built on the live copy since it was published.
-      slot = std::move(kept->second.copy);
-      kept->second.rows.ApplyTo(slot.get());
-      replayed += kept->second.rows.rows();
-      for (const std::vector<uint32_t>& columns : live->IndexColumnSets()) {
-        slot->EnsureIndex(columns);
-      }
-      ++reused;
     } else {
-      slot = std::make_shared<Relation>(*live);
-      ++cloned;
+      // Every index readers built or started building on the live
+      // relation, or on the kept copy (its predecessor, which readers
+      // of older generations may have started indexing since).
+      std::set<std::vector<uint32_t>> columns;
+      for (std::vector<uint32_t>& c : live->IndexColumnSets()) {
+        columns.insert(std::move(c));
+      }
+      if (kept != kept_.end()) {
+        for (std::vector<uint32_t>& c : kept->second.copy->IndexColumnSets()) {
+          columns.insert(std::move(c));
+        }
+      }
+      if (kept != kept_.end() && kept->second.live == live.get() &&
+          free.count(pred) > 0) {
+        // Bring the kept copy up to the live relation.
+        slot = std::move(kept->second.copy);
+        kept->second.rows.ApplyTo(slot.get());
+        replayed += kept->second.rows.rows();
+        ++reused;
+      } else {
+        slot = std::make_shared<Relation>(*live);
+        ++cloned;
+      }
+      // Publish the copy with all of them. A reader that finds an index
+      // missing builds it, O(|relation|), while pinning its generation;
+      // if each new copy lacked it, every reader would, the kept copies
+      // would stay pinned, and every write would clone (serve-churn-1m
+      // fell into that state in about half its runs).
+      for (const std::vector<uint32_t>& c : columns) slot->EnsureIndex(c);
     }
     change.ApplyTo(slot.get());
     // The relation this write replaced becomes the kept copy (a fresh

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "ast/rename.h"
 #include "eval/query.h"
 #include "eval/shared_plan_cache.h"
 #include "server/scheduler.h"
@@ -151,14 +152,20 @@ TEST(SessionSchedulerTest, ClassifiesByIdbReachability) {
                                 MustParseLiteral("t(Y, Z)")};
   std::vector<Literal> comparisons_only = {MustParseLiteral("e(X, Y)"),
                                            MustParseLiteral("X > 3")};
-  EXPECT_EQ(SessionCommandProcessor::Classify(heavy, program),
-            QueryClass::kHeavy);
-  EXPECT_EQ(SessionCommandProcessor::Classify(light, program),
-            QueryClass::kLight);
-  EXPECT_EQ(SessionCommandProcessor::Classify(mixed, program),
-            QueryClass::kHeavy);
-  EXPECT_EQ(SessionCommandProcessor::Classify(comparisons_only, program),
-            QueryClass::kLight);
+  // The class follows the query path: light iff the path is edb.
+  auto classify = [&](const std::vector<Literal>& body) {
+    std::vector<Term> projection;
+    for (SymbolId v : CollectVariables(body)) {
+      projection.push_back(Term::Var(v));
+    }
+    Result<QueryPlan> plan = PlanQuery(program, body, projection);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    return SessionCommandProcessor::Classify(plan->path);
+  };
+  EXPECT_EQ(classify(heavy), QueryClass::kHeavy);
+  EXPECT_EQ(classify(light), QueryClass::kLight);
+  EXPECT_EQ(classify(mixed), QueryClass::kHeavy);
+  EXPECT_EQ(classify(comparisons_only), QueryClass::kLight);
 }
 
 TEST(SessionSchedulerTest, EnforcesPerClassLimits) {

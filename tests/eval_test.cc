@@ -1023,6 +1023,39 @@ TEST(ConstraintCheckTest, CheckConstraintsCollectsViolations) {
   EXPECT_GE(v->size(), 2u);
 }
 
+TEST(ConstraintCheckTest, CheckStopsOnceItHasItsViolations) {
+  // n(X, X mod 4) for X < 20000 and m = {1, 2, 3}: every X > 10 with
+  // X mod 4 = 0 violates the IC, the first at X = 12. Asking for one
+  // violation stops the join within one block of driving rows; the full
+  // check scans all of n.
+  std::vector<Constraint> ics{MustParseConstraint("n(X, Y), X > 10 -> m(Y).")};
+  Database db;
+  for (int64_t x = 0; x < 20000; ++x) {
+    db.AddTuple("n", {Term::Int(x), Term::Int(x % 4)});
+  }
+  for (int64_t y = 1; y < 4; ++y) db.AddTuple("m", {Term::Int(y)});
+
+  EvalStats first_stats;
+  Result<std::vector<ConstraintViolation>> first =
+      CheckConstraints(db, ics, /*max_violations=*/1, &first_stats);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EvalStats all_stats;
+  Result<std::vector<ConstraintViolation>> all =
+      CheckConstraints(db, ics, /*max_violations=*/100000, &all_stats);
+  ASSERT_TRUE(all.ok()) << all.status();
+
+  ASSERT_EQ(first->size(), 1u);
+  EXPECT_EQ(all->size(), 4997u);  // X in {12, 16, ..., 19996}
+  EXPECT_EQ((*first)[0].description, (*all)[0].description);
+  EXPECT_EQ((*first)[0].description, "violated under X=12 Y=0 ");
+  EXPECT_EQ(all_stats.bindings_explored, 20000u);
+  EXPECT_LE(first_stats.bindings_explored, RuleExecutor::kDefaultBatchSize);
+
+  Result<bool> sat = Satisfies(db, ics[0]);
+  ASSERT_TRUE(sat.ok());
+  EXPECT_FALSE(*sat);
+}
+
 TEST(ConstraintCheckTest, RepairByDeletionReachesConsistency) {
   std::vector<Constraint> ics{
       MustParseConstraint("n(X), X > 10 -> ."),

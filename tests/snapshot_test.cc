@@ -366,6 +366,32 @@ TEST(SnapshotDeltaTest, ReusedCopyCarriesIndexesReadersBuilt) {
   EXPECT_EQ(EdgesOf(snap.db()), want);
 }
 
+TEST(SnapshotDeltaTest, ClonedCopyCarriesIndexesBuiltOnThePinnedKeptCopy) {
+  SnapshotStore store(MustParseFacts("e(100, 7). e(101, 7)."));
+  Edges want = {{100, 7}, {101, 7}};
+  for (int i = 0; i < 3; ++i) ChurnStep(&store, &want, i);
+  const std::vector<uint32_t> by_target = {1};
+  DatabaseSnapshot old_reader = store.Pin();
+  ChurnStep(&store, &want, 3);
+  // A reader still on the older generation indexes its relation, which
+  // is now the kept copy; the live relation has no index.
+  const Relation* kept = old_reader.db().Find(kEdge);
+  const_cast<Relation*>(kept)->EnsureIndex(by_target);
+  ASSERT_FALSE(store.Pin().db().Find(kEdge)->HasIndex(by_target));
+  // The pin keeps the kept copy in use, so this write clones the live
+  // relation, and the clone gets the index the reader built.
+  const uint64_t cloned_before =
+      CounterValue("storage.snapshot.relations_cloned");
+  ChurnStep(&store, &want, 4);
+  EXPECT_EQ(CounterValue("storage.snapshot.relations_cloned"),
+            cloned_before + 1);
+  DatabaseSnapshot snap = store.Pin();
+  const Relation* cloned = snap.db().Find(kEdge);
+  EXPECT_TRUE(cloned->HasIndex(by_target));
+  EXPECT_EQ(cloned->Probe(by_target, Tuple{Term::Int(7)}).size(), 2u);
+  EXPECT_EQ(EdgesOf(snap.db()), want);
+}
+
 TEST(SnapshotDeltaTest, NewRelationAndFailedDeltaWrite) {
   SnapshotStore store(Database{});
   // A relation the head does not have yet is created by the write.

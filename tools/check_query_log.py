@@ -10,6 +10,9 @@ clients against semopt_server --query-log/--slow-log):
   - exactly EXPECTED_RECORDS records, with unique qids and
     EXPECTED_SESSIONS distinct sids (concurrent sessions never tear or
     drop lines);
+  - every record names its query path (edb, pushed, magic, sliced; ""
+    when the query failed before one was chosen), and the admission
+    class follows it: light iff the path is edb;
   - heavy-class records ran a fixpoint (iterations > 0) and carry
     per-round entries;
   - with the slow threshold armed below every query's latency, the slow
@@ -19,8 +22,11 @@ clients against semopt_server --query-log/--slow-log):
 import json
 import sys
 
-REQUIRED = ("qid", "sid", "query", "class", "ok", "answers", "total_us",
-            "parse_us", "queue_wait_us", "pin_us", "eval_us", "fixpoint_us",
+PATHS = ("", "edb", "pushed", "magic", "sliced")
+
+REQUIRED = ("qid", "sid", "query", "class", "path", "ok", "answers",
+            "total_us", "parse_us", "queue_wait_us", "pin_us", "eval_us",
+            "fixpoint_us",
             "render_us", "pinned_epoch", "plan_cache_hits",
             "plan_cache_misses", "iterations", "derived", "duplicates",
             "rounds")
@@ -62,6 +68,16 @@ def main(argv):
         print(f"check_query_log: {len(sids)} sessions, expected"
               f" {expected_sessions}", file=sys.stderr)
         return 1
+    for r in records:
+        if r["path"] not in PATHS:
+            print(f"check_query_log: unknown query path: {r}",
+                  file=sys.stderr)
+            return 1
+        if r["path"] and r["class"] and \
+                (r["class"] == "light") != (r["path"] == "edb"):
+            print(f"check_query_log: class does not follow the path: {r}",
+                  file=sys.stderr)
+            return 1
     heavy = [r for r in records if r["class"] == "heavy"]
     if not heavy:
         print("check_query_log: no heavy-class records", file=sys.stderr)
