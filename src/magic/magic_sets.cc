@@ -9,6 +9,7 @@
 #include "ast/rename.h"
 #include "eval/fixpoint.h"
 #include "eval/rule_executor.h"
+#include "magic/query_paths.h"
 #include "obs/trace.h"
 #include "util/string_util.h"
 
@@ -238,28 +239,21 @@ Result<std::vector<Tuple>> AnswerWithMagic(const Program& program,
                                            const MagicOptions& options,
                                            const EvalOptions& eval_options) {
   obs::TraceSpan span("magic.answer");
-  SEMOPT_ASSIGN_OR_RETURN(MagicRewrite rewrite,
-                          MagicSets(program, query, options));
-  SEMOPT_ASSIGN_OR_RETURN(
-      Database idb, Evaluate(rewrite.program, edb, eval_options, stats));
+  SEMOPT_ASSIGN_OR_RETURN(QueryPlan plan, PlanMagic(program, query, options));
+  SEMOPT_ASSIGN_OR_RETURN(QueryResult result,
+                          RunQueryPlan(plan, edb, eval_options, stats));
+  // The plan projects the query's variables; put the constants back.
+  std::map<SymbolId, size_t> column;
+  for (size_t i = 0; i < plan.variables.size(); ++i) {
+    column.emplace(plan.variables[i], i);
+  }
   std::vector<Tuple> answers;
-  const Relation* rel = idb.Find(rewrite.answer_pred);
-  if (rel == nullptr) return answers;
-  for (RowRef row : rel->rows()) {
-    bool match = true;
-    for (size_t i = 0; i < query.args().size() && match; ++i) {
-      if (query.arg(i).IsConstant()) match = row[i] == query.arg(i);
+  answers.reserve(result.tuples.size());
+  for (const Tuple& row : result.tuples) {
+    Tuple& answer = answers.emplace_back();
+    for (const Term& t : query.args()) {
+      answer.push_back(t.IsVariable() ? row[column.at(t.symbol())] : t);
     }
-    // Repeated query variables must also agree.
-    if (match) {
-      std::map<SymbolId, Value> binding;
-      for (size_t i = 0; i < query.args().size() && match; ++i) {
-        if (!query.arg(i).IsVariable()) continue;
-        auto [it, inserted] = binding.emplace(query.arg(i).symbol(), row[i]);
-        if (!inserted) match = it->second == row[i];
-      }
-    }
-    if (match) answers.emplace_back(row.begin(), row.end());
   }
   return answers;
 }

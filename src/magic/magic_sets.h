@@ -42,10 +42,12 @@ struct MagicOptions {
 Result<MagicRewrite> MagicSets(const Program& program, const Atom& query,
                                const MagicOptions& options = MagicOptions());
 
-/// Convenience: rewrites, evaluates over `edb`, and returns the answer
-/// tuples matching `query`'s constants. `eval_options` selects the
-/// evaluation engine (threads, tracing, metrics) for the rewritten
-/// program.
+/// Convenience: runs the magic query path for `query` (PlanMagic in
+/// magic/query_paths.h, the one `?-` takes for a bound goal) over
+/// `edb`, and returns the answer tuples, one per distinct binding of
+/// `query`'s variables, with its constants in place. `eval_options`
+/// selects the evaluation engine (threads, tracing, metrics) for the
+/// rewritten program.
 Result<std::vector<Tuple>> AnswerWithMagic(
     const Program& program, const Database& edb, const Atom& query,
     EvalStats* stats = nullptr, const MagicOptions& options = MagicOptions(),

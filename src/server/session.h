@@ -13,7 +13,7 @@
 #include "ast/program.h"
 #include "eval/fixpoint.h"
 #include "eval/plan_cache.h"
-#include "eval/query.h"
+#include "magic/query_paths.h"
 #include "obs/query_log.h"
 #include "server/materialized_view.h"
 #include "server/scheduler.h"

@@ -1,21 +1,11 @@
 #include "storage/snapshot.h"
 
-#include <chrono>
 #include <set>
-#include <thread>
 #include <utility>
 
 #include "obs/metrics.h"
 
 namespace semopt {
-
-namespace {
-
-/// How long a delta write waits for readers to release the kept copies
-/// it needs before it clones the live relations instead.
-constexpr std::chrono::microseconds kKeptCopyWait{2000};
-
-}  // namespace
 
 void DatabaseSnapshot::Release() {
   // Drop the generation before unpinning: once a writer sees the pin
@@ -108,31 +98,12 @@ Result<uint64_t> SnapshotStore::ApplyDelta(const DeltaFn& fn) {
   // pinned one has released it. Deciding under mu_ orders this after
   // those readers' Unpin (their last access to the copy), and nothing
   // can re-acquire a kept copy — only this writer reaches kept_.
-  //
-  // Readers pin a generation for microseconds, so a kept copy this write
-  // needs is almost always released moments later: wait that out (up to
-  // kKeptCopyWait) rather than let one reader caught mid-query turn a
-  // sub-millisecond write into a copy of the whole relation.
-  size_t wanted = 0;
-  for (const auto& [pred, change] : delta) {
-    if (!change.empty() && kept_.count(pred) > 0) ++wanted;
-  }
   std::set<PredicateId> free;
-  const auto deadline = std::chrono::steady_clock::now() + kKeptCopyWait;
-  while (true) {
-    free.clear();
-    size_t ready = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (const auto& [pred, kept] : kept_) {
-        if (kept.copy.use_count() != 1) continue;
-        free.insert(pred);
-        auto it = delta.find(pred);
-        if (it != delta.end() && !it->second.empty()) ++ready;
-      }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [pred, kept] : kept_) {
+      if (kept.copy.use_count() == 1) free.insert(pred);
     }
-    if (ready == wanted || std::chrono::steady_clock::now() >= deadline) break;
-    std::this_thread::yield();
   }
 
   auto next = std::make_shared<Database>(base->CloneShared());

@@ -106,11 +106,11 @@ class DatabaseSnapshot {
 ///    next delta write touching the relation replays the saved rows
 ///    onto the kept copy, builds every index readers built or started
 ///    building on the live copy or the kept one, applies its own rows
-///    and publishes it — O(|Δ|), not O(|relation|). A kept copy is reused only once no generation
-///    references it any more; the writer waits up to 2 ms for readers
-///    still pinning the generation before the previous write, and only
-///    then falls back to today's deep copy (counted in
-///    storage.snapshot.relations_cloned). A kept copy is never reachable
+///    and publishes it — O(|Δ|), not O(|relation|). A kept copy is
+///    reused only once no generation references it any more (a reader
+///    still pinning the generation before the previous write forces a
+///    deep copy of the live relation, with the same indexes, counted in
+///    storage.snapshot.relations_cloned), and it is never reachable
 ///    from a pinnable generation, so isolation is unchanged. A bulk
 ///    Mutate that touches a relation drops its kept copy.
 ///  - Reclamation is deferred: a superseded generation is parked on a

@@ -13,6 +13,7 @@
 #include "ast/rename.h"
 #include "eval/query.h"
 #include "eval/shared_plan_cache.h"
+#include "magic/query_paths.h"
 #include "server/scheduler.h"
 #include "server/session.h"
 #include "storage/relation.h"

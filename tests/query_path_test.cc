@@ -1,5 +1,5 @@
 // Differential coverage for the query paths of AnswerGoal
-// (src/eval/query.cc): on random programs — linear and non-linear
+// (src/magic/query_paths.cc): on random programs — linear and non-linear
 // recursion, mutual recursion, stratified negation, repeated head
 // variables — and random bodies, every chosen path (edb, pushed, magic,
 // sliced) must return the answers of the full-fixpoint AnswerQuery and
@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "ast/rename.h"
-#include "eval/query.h"
+#include "magic/query_paths.h"
 #include "parser/parser.h"
 #include "util/string_util.h"
 #include "workload/genealogy.h"
@@ -41,6 +41,13 @@ std::vector<Term> ProjectionOf(const std::vector<Literal>& body) {
   std::vector<Term> projection;
   for (SymbolId v : CollectVariables(body)) projection.push_back(Term::Var(v));
   return projection;
+}
+
+/// The rules of `program`, one per line (its constraints left out).
+std::string RulesText(const Program& program) {
+  std::string text;
+  for (const Rule& rule : program.rules()) text += rule.ToString() + "\n";
+  return text;
 }
 
 std::string BodyText(const std::vector<Literal>& body) {
@@ -282,6 +289,64 @@ TEST_F(QueryPathChoiceTest, NonInvariantComparisonIsSliced) {
   EXPECT_EQ(PathOf("anc(X, Xa, Y, Ya), Ya > 5"), QueryPath::kSliced);
   EXPECT_EQ(PathOf("anc(X, Xa, Y, Ya), par(Y, Ya, Z, Za)"),
             QueryPath::kSliced);
+}
+
+TEST_F(QueryPathChoiceTest, SlicedPlanKeepsTheConeAndItsConstants) {
+  const std::string text = "anc(X, Xa, Y, Ya), Ya > 5";
+  Result<std::vector<Literal>> body = ParseLiteralList(text);
+  ASSERT_TRUE(body.ok());
+  const Rule query("query$", Atom("query$answer", ProjectionOf(*body)), *body);
+  // The cone is the whole program: the plan is what AnswerQuery
+  // evaluates, constants in the query rule and no seed relation.
+  Result<QueryPlan> whole = PlanQuery(program_, *body, ProjectionOf(*body));
+  ASSERT_TRUE(whole.ok()) << whole.status();
+  EXPECT_EQ(whole->path, QueryPath::kSliced);
+  EXPECT_TRUE(whole->seed.empty());
+  Program extended = program_;
+  extended.AddRule(query);
+  EXPECT_EQ(RulesText(whole->program), RulesText(extended));
+
+  // A rule outside the cone is left out.
+  Program wider = program_;
+  wider.AddRule(MustParse("sib(X, Y) :- par(X, Xa, P, Pa), par(Y, Ya, P, Pa).")
+                    .rules()
+                    .front());
+  Result<QueryPlan> sliced = PlanQuery(wider, *body, ProjectionOf(*body));
+  ASSERT_TRUE(sliced.ok()) << sliced.status();
+  EXPECT_EQ(sliced->path, QueryPath::kSliced);
+  EXPECT_EQ(RulesText(sliced->program), RulesText(extended));
+  EXPECT_EQ(ExpectPathMatches(wider, edb_, *body), QueryPath::kSliced);
+}
+
+TEST_F(QueryPathChoiceTest, AnswerWithMagicRunsTheMagicPath) {
+  // A bound third argument, taken from a par fact so that it has
+  // answers.
+  const Relation* par = edb_.Find(PredicateId{InternSymbol("par"), 4});
+  ASSERT_NE(par, nullptr);
+  const Term bound = par->CopyRows().back()[2];
+  Result<std::vector<Literal>> body = ParseLiteralList(
+      StrCat("anc(X, Xa, ", bound.ToString(), ", Ya)"));
+  ASSERT_TRUE(body.ok());
+  const Atom& goal = body->front().atom();
+  Result<QueryPlan> chosen = PlanQuery(program_, *body, ProjectionOf(*body));
+  Result<QueryPlan> magic = PlanMagic(program_, goal);
+  ASSERT_TRUE(chosen.ok()) << chosen.status();
+  ASSERT_TRUE(magic.ok()) << magic.status();
+  EXPECT_EQ(chosen->path, QueryPath::kMagic);
+  EXPECT_EQ(chosen->program.ToString(), magic->program.ToString());
+  EXPECT_EQ(chosen->seed, magic->seed);
+
+  Result<std::vector<Tuple>> answers = AnswerWithMagic(program_, edb_, goal);
+  Result<QueryResult> full =
+      AnswerQuery(program_, edb_, *body, ProjectionOf(*body));
+  ASSERT_TRUE(answers.ok()) << answers.status();
+  ASSERT_TRUE(full.ok()) << full.status();
+  ASSERT_FALSE(full->empty());
+  std::vector<Tuple> want;
+  for (const Tuple& row : full->tuples) {
+    want.push_back({row[0], row[1], bound, row[2]});
+  }
+  EXPECT_EQ(SortedRows(*answers), SortedRows(want));
 }
 
 TEST_F(QueryPathChoiceTest, EdbOnlyBodyRunsNoFixpoint) {
