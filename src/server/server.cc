@@ -43,10 +43,22 @@ bool SendAll(int fd, std::string_view data) {
 /// (~25 MB/s on serve-churn-1m, 4-vCPU Xeon). With the threshold
 /// pinned, every relation-sized buffer is mmapped and goes back to the
 /// OS as soon as the generation or copy holding it is freed.
+///
+/// Pinning the mmap threshold also stops glibc from raising the trim
+/// threshold with it (its own rule keeps trim at twice mmap), so the
+/// trim threshold is set to that ratio here. Left at its 128 KiB
+/// default, every query that frees a few hundred KiB at the top of its
+/// thread's heap hands those pages back and faults them in again on
+/// the next query: 1-2.3 page faults per query on serve-genealogy, the
+/// count changing from run to run, against 0.04 with this setting.
 void PinMmapThreshold() {
 #if defined(__GLIBC__)
   static std::once_flag once;
-  std::call_once(once, [] { mallopt(M_MMAP_THRESHOLD, 4 << 20); });
+  std::call_once(once, [] {
+    constexpr int kMmapThreshold = 4 << 20;
+    mallopt(M_MMAP_THRESHOLD, kMmapThreshold);
+    mallopt(M_TRIM_THRESHOLD, 2 * kMmapThreshold);
+  });
 #endif
 }
 
