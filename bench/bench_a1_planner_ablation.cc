@@ -1,24 +1,20 @@
-// Ablation A1 (DESIGN.md §2(7), §15): cardinality-aware join planning,
-// and the cost-based enumerator on top of it.
+// Ablation A1 (DESIGN.md §2(7), §15): the join planner.
 //
-// The engine re-plans every rule execution using the current sizes of
-// its input relations; without it, the auxiliary relations created by
-// the semantic transformation get probed in pathological orders. This
-// bench quantifies that on the university workload, for the original
-// and for the optimized program.
-//
-// The `_Greedy`/`_Cost` legs then ablate PlannerMode on top of
-// size-aware planning (tools/bench_report.py pairs them into the
-// planner-ablation table):
-//  - BM_A1_Fanout_*: a join where greedy's smallest-relation tie-break
-//    opens with a relation that fans out ~80x, while the enumerator's
-//    distinct sketches see through it — the cost planner's win case.
-//  - BM_A1_University_*: both planners pick equivalent orders, so the
-//    cost leg must stay within noise of greedy — the no-regression
-//    case the report's --fail-on-planner-regression gate enforces.
-// Before timing, each pair verifies bit-identical fixpoints between
-// the two planners, and each leg runs through a session PlanCache so
-// the timed steady state plans zero times per iteration.
+// The engine plans every rule execution from the current sizes and
+// per-column distinct sketches of its input relations (the cost
+// enumerator, CostPlanner::Enumerate); EXPERIMENTS.md A1 records the
+// size-blind and greedy regimes' numbers for comparison. The legs:
+//  - BM_A1_Original / BM_A1_Optimized: the university workload, for
+//    the original and for the semantically optimized program, planning
+//    included (a private plan cache per evaluation).
+//  - BM_A1_Fanout: a join where a smallest-relation-first pick opens
+//    with a relation that fans out ~80x, while the distinct sketches
+//    see through it.
+//  - BM_A1_University: the optimized university program.
+// The Fanout and University legs verify their fixpoint against a
+// cache-less evaluation before timing and then run through a session
+// PlanCache, so the timed steady state plans zero times per iteration
+// (the `plan_misses` counter).
 
 #include "bench_common.h"
 #include "eval/plan_cache.h"
@@ -37,17 +33,15 @@ UniversityParams Params() {
   return params;
 }
 
-void Run(::benchmark::State& state, bool optimized, bool cardinality) {
+void Run(::benchmark::State& state, bool optimized) {
   Result<Program> program = UniversityProgram();
   Program to_run = *program;
   if (optimized) to_run = bench::OptimizeOrDie(state, *program);
   Database edb = GenerateUniversityDb(Params());
-  EvalOptions options;
-  options.cardinality_planning = cardinality;
   EvalStats stats;
   for (auto _ : state) {
     stats = EvalStats();
-    Result<Database> idb = Evaluate(to_run, edb, options, &stats);
+    Result<Database> idb = Evaluate(to_run, edb, EvalOptions(), &stats);
     if (!idb.ok()) {
       state.SkipWithError(idb.status().ToString().c_str());
       return;
@@ -56,31 +50,23 @@ void Run(::benchmark::State& state, bool optimized, bool cardinality) {
   bench::PublishStats(state, stats);
 }
 
-void BM_A1_Original_SizeAware(::benchmark::State& state) {
-  Run(state, /*optimized=*/false, /*cardinality=*/true);
+void BM_A1_Original(::benchmark::State& state) {
+  Run(state, /*optimized=*/false);
 }
-void BM_A1_Original_SizeBlind(::benchmark::State& state) {
-  Run(state, false, false);
-}
-void BM_A1_Optimized_SizeAware(::benchmark::State& state) {
-  Run(state, true, true);
-}
-void BM_A1_Optimized_SizeBlind(::benchmark::State& state) {
-  Run(state, true, false);
+void BM_A1_Optimized(::benchmark::State& state) {
+  Run(state, /*optimized=*/true);
 }
 
-BENCHMARK(BM_A1_Original_SizeAware)->Unit(::benchmark::kMillisecond);
-BENCHMARK(BM_A1_Original_SizeBlind)->Unit(::benchmark::kMillisecond);
-BENCHMARK(BM_A1_Optimized_SizeAware)->Unit(::benchmark::kMillisecond);
-BENCHMARK(BM_A1_Optimized_SizeBlind)->Unit(::benchmark::kMillisecond);
+BENCHMARK(BM_A1_Original)->Unit(::benchmark::kMillisecond);
+BENCHMARK(BM_A1_Optimized)->Unit(::benchmark::kMillisecond);
 
-// --- greedy vs cost planner legs ---
+// --- plan-cached legs ---
 
 /// src joins into hub on a 25-value skew column; filt pins A almost
-/// uniquely. hub is the smallest relation, so greedy's size tie-break
-/// schedules it right after nothing is bound and every hub row fans
-/// out into ~80 src probes; the cost planner's sketches order
-/// src -> filt -> hub instead and the intermediate never grows.
+/// uniquely. hub is the smallest relation, so a smallest-first pick
+/// would open with it and fan every hub row out into ~80 src probes;
+/// the distinct sketches order src -> filt -> hub instead and the
+/// intermediate never grows.
 Database FanoutDb() {
   Database db;
   for (int i = 0; i < 2000; ++i) {
@@ -113,30 +99,26 @@ Program FanoutProgram(::benchmark::State& state) {
   return *program;
 }
 
-/// One timed planner leg: verifies the two planners derive identical
-/// fixpoints before the clock starts, then times `planner` through a
+/// One timed leg: verifies the plan-cached fixpoint against a
+/// cache-less evaluation before the clock starts, then times through a
 /// session PlanCache (steady state: the warmup iteration plans, timed
 /// iterations hit every round).
-void RunPlannerLeg(::benchmark::State& state, const Program& program,
-                   const Database& edb, PlannerMode planner) {
-  EvalOptions greedy_options;
-  EvalOptions cost_options;
-  cost_options.planner = PlannerMode::kCost;
-  Result<Database> greedy_idb = Evaluate(program, edb, greedy_options);
-  Result<Database> cost_idb = Evaluate(program, edb, cost_options);
-  if (!greedy_idb.ok() || !cost_idb.ok()) {
+void RunCachedLeg(::benchmark::State& state, const Program& program,
+                  const Database& edb) {
+  PlanCache cache;
+  EvalOptions options;
+  options.plan_cache = &cache;
+  Result<Database> fresh_idb = Evaluate(program, edb, EvalOptions());
+  Result<Database> cached_idb = Evaluate(program, edb, options);
+  if (!fresh_idb.ok() || !cached_idb.ok()) {
     state.SkipWithError("pre-timing evaluation failed");
     return;
   }
-  if (!greedy_idb->SameFactsAs(*cost_idb)) {
-    state.SkipWithError("planner ablation: greedy and cost fixpoints differ");
+  if (!fresh_idb->SameFactsAs(*cached_idb)) {
+    state.SkipWithError("plan-cached and fresh fixpoints differ");
     return;
   }
 
-  PlanCache cache;
-  EvalOptions options;
-  options.planner = planner;
-  options.plan_cache = &cache;
   EvalStats stats;
   for (auto _ : state) {
     stats = EvalStats();
@@ -152,37 +134,21 @@ void RunPlannerLeg(::benchmark::State& state, const Program& program,
       static_cast<double>(stats.plan_cache_misses);
 }
 
-void BM_A1_Fanout_Greedy(::benchmark::State& state) {
+void BM_A1_Fanout(::benchmark::State& state) {
   Program program = FanoutProgram(state);
   Database edb = FanoutDb();
-  RunPlannerLeg(state, program, edb, PlannerMode::kGreedy);
-}
-void BM_A1_Fanout_Cost(::benchmark::State& state) {
-  Program program = FanoutProgram(state);
-  Database edb = FanoutDb();
-  RunPlannerLeg(state, program, edb, PlannerMode::kCost);
+  RunCachedLeg(state, program, edb);
 }
 
-/// The same-order case: on the university workload both planners pick
-/// equivalent join orders, so this pair gates the cost planner's
-/// overhead (enumeration is amortized away by the plan cache).
-void BM_A1_University_Greedy(::benchmark::State& state) {
+void BM_A1_University(::benchmark::State& state) {
   Result<Program> program = UniversityProgram();
   Program to_run = bench::OptimizeOrDie(state, *program);
   Database edb = GenerateUniversityDb(Params());
-  RunPlannerLeg(state, to_run, edb, PlannerMode::kGreedy);
-}
-void BM_A1_University_Cost(::benchmark::State& state) {
-  Result<Program> program = UniversityProgram();
-  Program to_run = bench::OptimizeOrDie(state, *program);
-  Database edb = GenerateUniversityDb(Params());
-  RunPlannerLeg(state, to_run, edb, PlannerMode::kCost);
+  RunCachedLeg(state, to_run, edb);
 }
 
-BENCHMARK(BM_A1_Fanout_Greedy)->Unit(::benchmark::kMillisecond);
-BENCHMARK(BM_A1_Fanout_Cost)->Unit(::benchmark::kMillisecond);
-BENCHMARK(BM_A1_University_Greedy)->Unit(::benchmark::kMillisecond);
-BENCHMARK(BM_A1_University_Cost)->Unit(::benchmark::kMillisecond);
+BENCHMARK(BM_A1_Fanout)->Unit(::benchmark::kMillisecond);
+BENCHMARK(BM_A1_University)->Unit(::benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace semopt

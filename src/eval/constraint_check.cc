@@ -31,7 +31,7 @@ Status ForEachBodyBinding(
   DatabaseSource source(&edb);
   SEMOPT_ASSIGN_OR_RETURN(
       RuleExecutor::PreparedPlan plan,
-      exec.Prepare(source, -1, /*size_aware=*/true, /*partition=*/true));
+      exec.Prepare(source, -1, /*partition=*/true));
   bool stopped = false;
   const BatchSink sink = [&](const TupleBuffer& block) {
     for (size_t r = 0; r < block.size() && !stopped; ++r) {

@@ -2,59 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace semopt {
-
-const char* PlannerModeName(PlannerMode mode) {
-  switch (mode) {
-    case PlannerMode::kGreedy:
-      return "greedy";
-    case PlannerMode::kCost:
-      return "cost";
-  }
-  return "?";
-}
-
-CostFeedback& CostFeedback::Global() {
-  static CostFeedback* instance = new CostFeedback();
-  return *instance;
-}
-
-CostFeedback::Cell* CostFeedback::CellFor(const std::string& rule,
-                                          size_t literal_index) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = cells_[{rule, literal_index}];
-  if (slot == nullptr) slot = std::make_unique<Cell>();
-  return slot.get();
-}
-
-double CostFeedback::CorrectionFor(const std::string& rule,
-                                   size_t literal_index) {
-  Cell* cell = CellFor(rule, literal_index);
-  const uint64_t executions =
-      cell->executions.load(std::memory_order_relaxed);
-  const uint64_t estimated =
-      cell->estimated_bindings.load(std::memory_order_relaxed);
-  if (executions == 0) return 1.0;
-  const uint64_t actual =
-      cell->actual_bindings.load(std::memory_order_relaxed);
-  // +1 on both sides keeps zero-row feedback meaningful (an estimate of
-  // thousands against an observed zero still corrects hard) without a
-  // division by zero.
-  const double ratio = (static_cast<double>(actual) + 1.0) /
-                       (static_cast<double>(estimated) + 1.0);
-  return std::clamp(ratio, 1.0 / 64.0, 64.0);
-}
-
-void CostFeedback::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  cells_.clear();
-}
 
 namespace {
 
@@ -68,6 +20,7 @@ constexpr double kProbeCost = 1.5;
 constexpr double kMinRows = 1e-3;
 
 struct MemoEntry {
+  bool done = false;        // state visited
   double cost = 0.0;        // cheapest cost of finishing from this state
   int best_next = -1;       // index into `literals` of the cheapest pick
   double best_est = 0.0;    // that pick's estimated output bindings
@@ -76,8 +29,7 @@ struct MemoEntry {
 }  // namespace
 
 std::optional<CostPlanner::Result> CostPlanner::Enumerate(
-    const std::string& rule_key, const std::vector<LiteralInput>& literals,
-    int force_first) {
+    const std::vector<LiteralInput>& literals, int force_first) {
   const size_t n = literals.size();
   if (n <= 1 || n > 16) return std::nullopt;
   for (const LiteralInput& lit : literals) {
@@ -86,15 +38,6 @@ std::optional<CostPlanner::Result> CostPlanner::Enumerate(
     }
   }
   obs::TraceSpan span("cost_plan");
-
-  // Pull the feedback corrections once per literal up front (they take
-  // the registry lock) instead of once per memo transition.
-  std::vector<double> correction(n, 1.0);
-  CostFeedback& feedback = CostFeedback::Global();
-  for (size_t i = 0; i < n; ++i) {
-    correction[i] =
-        feedback.CorrectionFor(rule_key, literals[i].original_index);
-  }
 
   // Bound-variable set of a scheduled subset: the union of every
   // scheduled literal's slots. Order-independent, so it is a pure
@@ -109,8 +52,8 @@ std::optional<CostPlanner::Result> CostPlanner::Enumerate(
 
   // Estimated bindings the step for literal `i` produces per input row,
   // given the bound-variable set: size / prod(distinct of each bound
-  // column), under the usual independence assumption, times the
-  // literal's runtime correction. Constants count as bound columns.
+  // column), under the usual independence assumption. Constants count
+  // as bound columns.
   auto est_matches = [&](size_t i, uint64_t bound) -> double {
     const LiteralInput& lit = literals[i];
     double est = static_cast<double>(lit.size);
@@ -125,7 +68,7 @@ std::optional<CostPlanner::Result> CostPlanner::Enumerate(
       }
       est /= static_cast<double>(distinct);
     }
-    return std::max(kMinRows, est * correction[i]);
+    return std::max(kMinRows, est);
   };
   auto has_bound_column = [&](size_t i, uint64_t bound) -> bool {
     for (uint32_t slot : literals[i].slots) {
@@ -137,16 +80,14 @@ std::optional<CostPlanner::Result> CostPlanner::Enumerate(
   };
 
   const uint32_t full = (1u << n) - 1;  // n <= 16 above
-  // Memo keyed on (bound-variable set, remaining-literal set). For one
-  // rule the bound set is derivable from the mask, but keying on both
-  // keeps the memo's contract explicit (and lets tests observe it).
-  std::unordered_map<uint64_t, MemoEntry> memo;
+  // Memo over (bound-variable set, remaining-literal set). The bound
+  // set of a scheduled subset is the union of its literals' variables,
+  // a pure function of the scheduled mask, so the mask alone indexes
+  // the state: a flat table of 2^n entries.
+  std::vector<MemoEntry> memo(size_t{1} << n);
+  size_t memo_states = 0;
   size_t memo_hits = 0;
 
-  // best(mask) = cheapest cost of executing the not-yet-scheduled
-  // literals, given `in_rows` rows flowing out of the scheduled prefix.
-  // in_rows is a pure function of the mask (independence again), so the
-  // recursion is a proper DP over subsets.
   auto bound_of = [&](uint32_t mask) -> uint64_t {
     uint64_t bound = 0;
     for (size_t i = 0; i < n; ++i) {
@@ -154,35 +95,34 @@ std::optional<CostPlanner::Result> CostPlanner::Enumerate(
     }
     return bound;
   };
+  // Rows flowing out of the scheduled prefix `mask`: the product of the
+  // fan-outs, which under independence is the same in any order, so it
+  // is replayed in ascending literal index.
   auto rows_of = [&](uint32_t mask) -> double {
-    // Replays the fan-out products in literal-index order; the product
-    // is order-independent for a fixed mask.
     double rows = 1.0;
     uint64_t bound = 0;
-    uint32_t remaining = mask;
-    while (remaining != 0) {
-      // Schedule the cheapest-to-define order: any order yields the
-      // same product, so take ascending index.
-      const int i = __builtin_ctz(remaining);
-      remaining &= remaining - 1;
-      rows *= est_matches(static_cast<size_t>(i), bound);
-      bound |= lit_vars[static_cast<size_t>(i)];
+    for (uint32_t remaining = mask; remaining != 0;
+         remaining &= remaining - 1) {
+      const size_t i = static_cast<size_t>(__builtin_ctz(remaining));
+      rows *= est_matches(i, bound);
+      bound |= lit_vars[i];
     }
     return std::max(kMinRows, rows);
   };
 
-  std::function<double(uint32_t)> best = [&](uint32_t mask) -> double {
+  // best(mask) = cheapest cost of executing the not-yet-scheduled
+  // literals after the scheduled prefix `mask`: a DP over subsets.
+  auto best = [&](auto& self, uint32_t mask) -> double {
     if (mask == full) return 0.0;
-    const uint64_t bound = bound_of(mask);
-    const uint64_t key =
-        (bound << 16) ^ static_cast<uint64_t>(mask) ^ (bound >> 48);
-    auto it = memo.find(key);
-    if (it != memo.end()) {
+    MemoEntry& memoized = memo[mask];
+    if (memoized.done) {
       ++memo_hits;
-      return it->second.cost;
+      return memoized.cost;
     }
+    const uint64_t bound = bound_of(mask);
     const double in_rows = rows_of(mask);
     MemoEntry entry;
+    entry.done = true;
     entry.cost = -1.0;
     for (size_t i = 0; i < n; ++i) {
       if (mask & (1u << i)) continue;
@@ -196,40 +136,42 @@ std::optional<CostPlanner::Result> CostPlanner::Enumerate(
               ? kProbeCost
               : static_cast<double>(std::max<size_t>(1, literals[i].size));
       const double step_cost = in_rows * (access + matches);
-      const double total = step_cost + best(mask | (1u << i));
+      const double total = step_cost + self(self, mask | (1u << i));
       if (entry.cost < 0.0 || total < entry.cost) {
         entry.cost = total;
         entry.best_next = static_cast<int>(i);
         entry.best_est = in_rows * matches;
       }
     }
-    memo.emplace(key, entry);
+    memo[mask] = entry;
+    ++memo_states;
     return entry.cost;
   };
-  best(0);
+  best(best, 0);
 
   // Re-walk the memo from the root to materialize the chosen order.
   Result result;
-  uint32_t mask = 0;
-  while (mask != full) {
-    const uint64_t bound = bound_of(mask);
-    const uint64_t key =
-        (bound << 16) ^ static_cast<uint64_t>(mask) ^ (bound >> 48);
-    auto it = memo.find(key);
-    if (it == memo.end() || it->second.best_next < 0) return std::nullopt;
-    const size_t i = static_cast<size_t>(it->second.best_next);
+  for (uint32_t mask = 0; mask != full;) {
+    const MemoEntry& entry = memo[mask];
+    if (!entry.done || entry.best_next < 0) return std::nullopt;
+    const size_t i = static_cast<size_t>(entry.best_next);
     result.order.push_back(literals[i].original_index);
-    result.est_rows.push_back(it->second.best_est);
+    result.est_rows.push_back(entry.best_est);
     mask |= 1u << i;
   }
-  result.memo_states = memo.size();
+  result.memo_states = memo_states;
   result.memo_hits = memo_hits;
 
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  registry.GetCounter("eval.planner.cost.plans").Add(1);
-  registry.GetCounter("eval.planner.cost.memo_states")
-      .Add(result.memo_states);
-  registry.GetCounter("eval.planner.cost.memo_hits").Add(result.memo_hits);
+  // Counters are registry-owned and never freed: resolve them once.
+  static obs::Counter& plans =
+      obs::MetricsRegistry::Global().GetCounter("eval.planner.cost.plans");
+  static obs::Counter& states = obs::MetricsRegistry::Global().GetCounter(
+      "eval.planner.cost.memo_states");
+  static obs::Counter& hits = obs::MetricsRegistry::Global().GetCounter(
+      "eval.planner.cost.memo_hits");
+  plans.Add(1);
+  states.Add(result.memo_states);
+  hits.Add(result.memo_hits);
   return result;
 }
 

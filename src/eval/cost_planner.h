@@ -1,88 +1,20 @@
 #ifndef SEMOPT_EVAL_COST_PLANNER_H_
 #define SEMOPT_EVAL_COST_PLANNER_H_
 
-#include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "storage/relation.h"
 
 namespace semopt {
 
-/// Which join-order planner RuleExecutor::Prepare runs (see
-/// EvalOptions::planner and the shell's `:planner`).
-///
-/// Both planners are pure orderings of the same safe step set, so the
-/// derived relations are identical under either — only evaluation cost
-/// differs. The plan caches key on the mode (a dedicated flag bit), so
-/// greedy and cost sessions sharing one cache never serve each other's
-/// orders.
-enum class PlannerMode : uint8_t {
-  /// The one-pass heuristic: most statically-bound columns first, ties
-  /// by smallest current relation size. Zero planning overhead beyond
-  /// one pass over the body; structurally left-deep in the greedy pick
-  /// order.
-  kGreedy,
-  /// Transformation-based enumeration over the positive relational
-  /// literals with memoization keyed on (bound-variable set,
-  /// remaining-literal set), costed from relation sizes, per-column
-  /// distinct sketches (Relation::EnsureStats) and the runtime feedback
-  /// accumulated by CostFeedback. Falls back to greedy when the body is
-  /// outside the enumerable envelope (see CostPlanner::Enumerate).
-  kCost,
-};
-
-/// Short mode name for messages and explain output.
-const char* PlannerModeName(PlannerMode mode);
-
-/// Process-global feedback store for the cost model: per (rule text,
-/// original body-literal index), the cumulative actual bindings each
-/// execution observed at that literal's step versus the bindings the
-/// plan estimated. The planner divides the two into a correction factor
-/// it multiplies into the next estimate for that literal, so
-/// misestimates self-correct across fixpoint rounds, repeated queries,
-/// and server sessions (the store is shared process-wide, like the
-/// metrics registry).
-///
-/// Cells are allocated once and never freed, so executors hold raw
-/// pointers resolved at plan time and record with relaxed atomic adds —
-/// the execution hot path never takes the registry lock.
-class CostFeedback {
- public:
-  struct Cell {
-    std::atomic<uint64_t> executions{0};
-    std::atomic<uint64_t> actual_bindings{0};
-    std::atomic<uint64_t> estimated_bindings{0};
-  };
-
-  static CostFeedback& Global();
-
-  /// The stable cell for (rule text, original literal index), created
-  /// on first use. Thread-safe; the returned pointer stays valid for
-  /// the process lifetime.
-  Cell* CellFor(const std::string& rule, size_t literal_index);
-
-  /// Multiplicative correction for the literal's estimate:
-  /// actual/estimated over everything recorded so far, clamped to
-  /// [1/64, 64]; 1.0 until at least one execution recorded. Thread-safe.
-  double CorrectionFor(const std::string& rule, size_t literal_index);
-
-  /// Drops every cell (tests; executors holding old cell pointers keep
-  /// writing into the orphaned cells, which is why this is test-only).
-  void Reset();
-
- private:
-  std::mutex mu_;
-  std::map<std::pair<std::string, size_t>, std::unique_ptr<Cell>> cells_;
-};
-
-/// The memoized join-order enumerator behind PlannerMode::kCost.
+/// The memoized join-order enumerator behind RuleExecutor::Prepare:
+/// the one join-order planner. It orders the positive relational
+/// literals of a body from relation sizes and the per-column distinct
+/// sketches of Relation::EnsureStats; bodies outside its envelope keep
+/// BuildPlan's greedy most-bound-then-smallest pick.
 class CostPlanner {
  public:
   /// One positive relational body literal, as the cost model sees it.
@@ -105,8 +37,8 @@ class CostPlanner {
     /// chosen execution order.
     std::vector<size_t> order;
     /// Per entry of `order`: the estimated bindings (matched rows) the
-    /// step produces over the whole execution — directly comparable to
-    /// the per-literal bindings counter the executors record.
+    /// step produces over the whole execution (the `est~` annotation of
+    /// RuleExecutor::DescribePlan).
     std::vector<double> est_rows;
     /// Memo diagnostics (unit tests, eval.planner.cost.* counters).
     size_t memo_states = 0;
@@ -121,17 +53,12 @@ class CostPlanner {
   /// Cost model, per scheduled step: every input row pays a probe (or a
   /// full scan when no column is bound) and fans out into
   ///   est = size / prod(distinct[c] for each bound column c)
-  /// rows, independence-assumed, then multiplied by the literal's
-  /// CostFeedback correction. States are memoized on (bound-variable
+  /// rows, independence-assumed. States are memoized on (bound-variable
   /// set, remaining-literal set); with <= 16 literals the walk is at
   /// most 2^16 states. Returns nullopt — caller falls back to greedy —
   /// when there is at most one literal to order, more than 16, or a
   /// frame slot beyond 64 (the bound set is a bitmask).
-  ///
-  /// `rule_key` identifies the rule in the feedback store (the plan
-  /// caches' rule-text identity).
   static std::optional<Result> Enumerate(
-      const std::string& rule_key,
       const std::vector<LiteralInput>& literals, int force_first);
 };
 

@@ -199,8 +199,7 @@ std::string AnalyzeRuleKey(const PlannedRule& pr) {
 }  // namespace
 
 std::string ExplainAnalyze(const Program& program, const Database& edb,
-                           const EvalStats& stats,
-                           const EvalOptions& options) {
+                           const EvalStats& stats) {
   std::ostringstream os;
   Result<std::vector<EvalComponent>> components = PlanComponents(program);
   if (!components.ok()) return components.status().ToString();
@@ -208,10 +207,6 @@ std::string ExplainAnalyze(const Program& program, const Database& edb,
   // fresh evaluation's first rounds plan in. Mirrors the server's
   // `:plan` view so `:profile` and `:plan` show the same plans.
   DatabaseSource source(&edb);
-
-  // Which planner produced the plans below (the per-plan trailer also
-  // says so, including a per-rule greedy fallback under kCost).
-  os << "planner: " << PlannerModeName(options.planner) << "\n";
 
   int64_t stratum = -1;
   for (const EvalComponent& component : *components) {
@@ -222,9 +217,8 @@ std::string ExplainAnalyze(const Program& program, const Database& edb,
        << component.rules.size()
        << (component.rules.size() == 1 ? " rule" : " rules") << "):\n";
     for (const PlannedRule& pr : component.rules) {
-      Result<RuleExecutor::PreparedPlan> plan = pr.executor.Prepare(
-          source, -1, options.cardinality_planning, /*partition=*/false,
-          options.planner);
+      Result<RuleExecutor::PreparedPlan> plan =
+          pr.executor.Prepare(source, -1);
       if (plan.ok()) {
         os << pr.executor.DescribePlan(*plan) << "\n";
       } else {

@@ -55,8 +55,7 @@ Result<ProofNode> ExplainFromScratch(const Program& program,
 /// evaluating `program` over `edb` (the server's `:profile` re-runs the
 /// query with collect_metrics to produce it).
 std::string ExplainAnalyze(const Program& program, const Database& edb,
-                           const EvalStats& stats,
-                           const EvalOptions& options);
+                           const EvalStats& stats);
 
 }  // namespace semopt
 

@@ -49,12 +49,6 @@ Status ValidateEvalOptions(const EvalOptions& options) {
           "disables the SIMD kernels in this process");
     }
   }
-  if (options.planner != PlannerMode::kGreedy &&
-      options.planner != PlannerMode::kCost) {
-    return Status::FailedPrecondition(
-        StrCat("planner must be one of: greedy, cost; got value ",
-               static_cast<int>(options.planner)));
-  }
   return Status::Ok();
 }
 

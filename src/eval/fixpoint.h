@@ -5,7 +5,6 @@
 #include <string>
 
 #include "ast/program.h"
-#include "eval/cost_planner.h"
 #include "eval/eval_stats.h"
 #include "storage/database.h"
 #include "util/result.h"
@@ -35,9 +34,6 @@ struct EvalOptions {
   EvalStrategy strategy = EvalStrategy::kSemiNaive;
   /// Safety valve for buggy workloads; 0 = unlimited.
   size_t max_iterations = 0;
-  /// Plan joins with current relation cardinalities (default); false
-  /// falls back to the size-blind static order (ablation bench A1).
-  bool cardinality_planning = true;
   /// Frame/head block size of the batched (block-at-a-time) rule
   /// executor the fixpoint engine and incremental maintenance run
   /// through. Larger values amortize sink dispatch and keep probe keys,
@@ -63,15 +59,6 @@ struct EvalOptions {
   /// Vectorized executor paths (see SimdMode). kAuto resolves against
   /// the build flag and the SEMOPT_DISABLE_SIMD environment variable.
   SimdMode simd = SimdMode::kAuto;
-  /// Join-order planner (see PlannerMode in eval/cost_planner.h and the
-  /// shell's `:planner`). kGreedy keeps the one-pass heuristic; kCost
-  /// enumerates per-rule join orders from relation sizes, per-column
-  /// distinct sketches and accumulated runtime feedback. The derived
-  /// relations and fixpoints are identical under either — only the
-  /// evaluation cost differs. Ignored (greedy) when
-  /// cardinality_planning is false: the cost model is meaningless
-  /// size-blind.
-  PlannerMode planner = PlannerMode::kGreedy;
   /// When non-empty, this evaluation runs inside a trace session and
   /// writes a Chrome trace_event JSON file here on completion (open in
   /// chrome://tracing or Perfetto). If a session is already active
@@ -121,9 +108,7 @@ struct EvalOptions {
 /// <= 256 (0 = hardware auto-resolution is valid), morsel_size either 0
 /// (auto) or >= 8 (a smaller morsel makes the shared-cursor claim the
 /// dominant cost), simd != kOn when the build or environment disabled
-/// the SIMD kernels, planner one of the known PlannerMode values (the
-/// message lists the valid modes, matching the `:simd` UX). Evaluate
-/// calls this first.
+/// the SIMD kernels. Evaluate calls this first.
 Status ValidateEvalOptions(const EvalOptions& options);
 
 /// Resolves `mode` to "use the vectorized paths?": kAuto defers to

@@ -93,9 +93,8 @@ void RunDelta(const RuleExecutor& exec, PlanCacheInterface& cache,
   // Coarse bands: maintenance inputs are deltas whose sizes jitter
   // batch to batch; fine sub-1024 bands would re-plan forever.
   Result<RuleExecutor::PreparedPlan> plan =
-      cache.Get(exec, source, delta_literal, stats,
-                options.cardinality_planning, /*partitioned=*/false,
-                options.planner, /*coarse_bands=*/true);
+      cache.Get(exec, source, delta_literal, stats, /*partitioned=*/false,
+                /*coarse_bands=*/true);
   if (!plan.ok()) return;  // Create() validated the rule; cannot fail
   exec.ExecutePlanBatched(
       *plan, source, delta_literal,

@@ -81,8 +81,7 @@ struct IvmStats {
 /// predicate it negates holds its final post-update value.
 ///
 /// All maintenance joins run through RuleExecutor plans memoized in a
-/// PlanCache (cost planner included via EvalOptions::planner), so
-/// steady-state batches skip planning entirely.
+/// PlanCache, so steady-state batches skip planning entirely.
 class IncrementalEvaluator {
  public:
   /// `edb` may share relations with other databases (CloneShared): the
@@ -95,7 +94,7 @@ class IncrementalEvaluator {
   /// maintenance rule sets. Programs with stratified negation are
   /// accepted; an unstratifiable program fails with InvalidArgument
   /// naming the offending negated literal. `options` is retained for
-  /// maintenance joins (planner, batch size, SIMD mode, plan cache);
+  /// maintenance joins (batch size, SIMD mode, plan cache);
   /// maintenance itself runs on the calling thread — deltas are small
   /// by design, so the morsel engine's fan-out overhead is not worth
   /// paying per batch.

@@ -66,13 +66,9 @@ void PlanCache::EvictToCap() {
 
 Result<RuleExecutor::PreparedPlan> PlanCache::Get(
     const RuleExecutor& exec, const RelationSource& source, int delta_literal,
-    EvalStats* stats, bool size_aware, bool partitioned, PlannerMode planner,
-    bool coarse_bands) {
+    EvalStats* stats, bool partitioned, bool coarse_bands) {
   Key key{exec.rule().ToString(), delta_literal,
-          static_cast<uint8_t>(
-              (size_aware ? 1 : 0) | (partitioned ? 4 : 0) |
-              (planner == PlannerMode::kCost ? 8 : 0) |
-              (coarse_bands ? 16 : 0)),
+          static_cast<uint8_t>((partitioned ? 1 : 0) | (coarse_bands ? 2 : 0)),
           Signature(exec, source, delta_literal, coarse_bands)};
   auto it = entries_.find(key);
   if (it != entries_.end()) {
@@ -91,7 +87,7 @@ Result<RuleExecutor::PreparedPlan> PlanCache::Get(
   if (stats != nullptr) ++stats->plan_cache_misses;
   SEMOPT_ASSIGN_OR_RETURN(
       RuleExecutor::PreparedPlan plan,
-      exec.Prepare(source, delta_literal, size_aware, partitioned, planner));
+      exec.Prepare(source, delta_literal, partitioned));
   auto [inserted_it, _] = entries_.emplace(std::move(key), Entry{plan, {}});
   lru_.push_front(&inserted_it->first);
   inserted_it->second.lru_it = lru_.begin();

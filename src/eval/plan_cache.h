@@ -26,18 +26,14 @@ class PlanCacheInterface {
   /// the result. On a hit the plan's probe indexes are revalidated (a
   /// cheap HasIndex sweep that repairs indexes lost to the delta
   /// double-buffer swap). Bumps `stats->plan_cache_{hits,misses}` when
-  /// `stats` is non-null. `planner` is part of the memo key (a
-  /// dedicated flag bit), so greedy and cost sessions sharing one cache
-  /// never serve each other's orders. `coarse_bands` collapses every
+  /// `stats` is non-null. `coarse_bands` collapses every
   /// size below 1024 into one band (its own flag bit): incremental
   /// maintenance opts in so its jittering small deltas reuse one
   /// steady-state plan, while fixpoint evaluation keeps fine bands and
   /// re-plans as its deltas grow.
   virtual Result<RuleExecutor::PreparedPlan> Get(
       const RuleExecutor& exec, const RelationSource& source,
-      int delta_literal, EvalStats* stats, bool size_aware = true,
-      bool partitioned = false,
-      PlannerMode planner = PlannerMode::kGreedy,
+      int delta_literal, EvalStats* stats, bool partitioned = false,
       bool coarse_bands = false) = 0;
 
   /// Drops every cached plan.
@@ -45,10 +41,10 @@ class PlanCacheInterface {
 };
 
 /// Cross-round (and cross-evaluation) memo of prepared rule plans,
-/// keyed by (rule text, delta literal, planner flags, log2 cardinality
+/// keyed by (rule text, delta literal, regime flags, log2 cardinality
 /// band of every body relation).
 ///
-/// Cardinality-aware planning re-orders joins from the *current* sizes
+/// The planner re-orders joins from the *current* sizes
 /// of the input relations, which change every semi-naive round — but a
 /// join order only improves when a size crosses an order of magnitude,
 /// while re-planning (and re-walking EnsureIndex) every round costs a
@@ -97,9 +93,7 @@ class PlanCache : public PlanCacheInterface {
 
   Result<RuleExecutor::PreparedPlan> Get(
       const RuleExecutor& exec, const RelationSource& source,
-      int delta_literal, EvalStats* stats, bool size_aware = true,
-      bool partitioned = false,
-      PlannerMode planner = PlannerMode::kGreedy,
+      int delta_literal, EvalStats* stats, bool partitioned = false,
       bool coarse_bands = false) override;
 
   /// Drops every cached plan (the eviction counter keeps its total).
@@ -120,10 +114,9 @@ class PlanCache : public PlanCacheInterface {
     /// rebuilt per evaluation; addresses are not stable).
     std::string rule;
     int delta_literal;
-    /// Planner inputs beyond cardinalities: bit 0 = size_aware,
-    /// bit 2 = partitioned (multi-lane morsel regime), bit 3 = cost
-    /// planner (PlannerMode::kCost ordered the joins), bit 4 = coarse
-    /// bands (sub-1024 sizes collapsed into one band). Bit 1 is unused.
+    /// Plan regime beyond cardinalities: bit 0 = partitioned
+    /// (multi-lane morsel regime), bit 1 = coarse bands (sub-1024
+    /// sizes collapsed into one band).
     uint8_t flags;
     /// ⌊log2⌋ band per body literal (relational literals delta-aware;
     /// non-relational hold a fixed sentinel).

@@ -8,6 +8,7 @@
 
 #include "ast/rename.h"
 #include "eval/builtins.h"
+#include "eval/cost_planner.h"
 #include "obs/trace.h"
 #include "storage/column_view.h"
 #include "storage/vector_kernels.h"
@@ -211,10 +212,10 @@ Result<RuleExecutor::Plan> RuleExecutor::BuildPlan(
         pick = static_cast<int>(i);
       }
     }
-    // Priority 3: the positive relational literal with the most
-    // statically-bound argument positions; ties go to the literal whose
-    // relation is currently smallest (cardinality-aware planning), then
-    // to body order.
+    // Priority 3 (bodies outside the enumerator's envelope): the
+    // positive relational literal with the most statically-bound
+    // argument positions; ties go to the literal whose relation is
+    // currently smallest, then to body order.
     if (pick < 0) {
       int best_score = -1;
       size_t best_size = 0;
@@ -353,8 +354,7 @@ void RuleExecutor::FuseBatchChecks(Plan* plan, int delta_literal) {
 }
 
 Result<RuleExecutor::PreparedPlan> RuleExecutor::Prepare(
-    const RelationSource& source, int delta_literal, bool size_aware,
-    bool partition, PlannerMode planner) const {
+    const RelationSource& source, int delta_literal, bool partition) const {
   // Separates plan/index time from join time in traces: "plan" spans
   // are coordinator work, rule-label spans are execution work.
   obs::TraceSpan span("plan");
@@ -387,22 +387,24 @@ Result<RuleExecutor::PreparedPlan> RuleExecutor::Prepare(
   const int force_first =
       partition && delta_literal >= 0 ? delta_literal : -1;
 
-  // Cost planner: enumerate join orders of the positive relational
-  // literals from current sizes, per-column distinct sketches and the
-  // accumulated runtime feedback. The chosen order replaces only the
-  // greedy relational pick inside BuildPlan — filters, binding `=`,
-  // the delta rotation, batch fusion and driving-step marking all
-  // happen exactly as under the greedy planner, so every structural
-  // invariant of the plan shape is preserved.
+  // Enumerate join orders of the positive relational literals from
+  // current sizes and per-column distinct sketches. The chosen order
+  // replaces only the greedy relational pick inside BuildPlan —
+  // filters, binding `=`, the delta rotation, batch fusion and
+  // driving-step marking keep their places, so every structural
+  // invariant of the plan shape is preserved. A body with fewer than
+  // two positive relational literals has no order to choose, so it
+  // takes no sketches.
   std::optional<CostPlanner::Result> cost;
-  std::string rule_key;
-  if (planner == PlannerMode::kCost && size_aware) {
-    rule_key = rule_.ToString();
+  const std::vector<Literal>& body = rule_.body();
+  const auto is_positive_relational = [](const Literal& lit) {
+    return !lit.IsComparison() && !lit.negated();
+  };
+  if (std::count_if(body.begin(), body.end(), is_positive_relational) >= 2) {
     std::vector<CostPlanner::LiteralInput> inputs;
-    const std::vector<Literal>& body = rule_.body();
     for (size_t i = 0; i < body.size(); ++i) {
       const Literal& lit = body[i];
-      if (lit.IsComparison() || lit.negated()) continue;
+      if (!is_positive_relational(lit)) continue;
       CostPlanner::LiteralInput in;
       in.original_index = i;
       const Relation* rel = relation_of(i);
@@ -419,22 +421,15 @@ Result<RuleExecutor::PreparedPlan> RuleExecutor::Prepare(
       }
       inputs.push_back(std::move(in));
     }
-    cost = CostPlanner::Enumerate(rule_key, inputs, force_first);
+    cost = CostPlanner::Enumerate(inputs, force_first);
   }
   SEMOPT_ASSIGN_OR_RETURN(
-      Plan plan,
-      BuildPlan(size_aware ? &size_of : nullptr, force_first,
-                cost.has_value() ? &cost->order : nullptr));
-  plan.planner = planner;
+      Plan plan, BuildPlan(&size_of, force_first,
+                           cost.has_value() ? &cost->order : nullptr));
   if (cost.has_value()) {
-    plan.cost_ordered = true;
-    plan.est_rows.assign(rule_.body().size(), -1.0);
-    plan.feedback.assign(rule_.body().size(), nullptr);
-    CostFeedback& feedback = CostFeedback::Global();
+    plan.est_rows.assign(body.size(), -1.0);
     for (size_t k = 0; k < cost->order.size(); ++k) {
-      const size_t lit = cost->order[k];
-      plan.est_rows[lit] = cost->est_rows[k];
-      plan.feedback[lit] = feedback.CellFor(rule_key, lit);
+      plan.est_rows[cost->order[k]] = cost->est_rows[k];
     }
   }
   FuseBatchChecks(&plan, delta_literal);
@@ -538,41 +533,18 @@ std::string RuleExecutor::DescribePlan(const PreparedPlan& plan,
     }
     if (p.driving_step == static_cast<int>(i)) os << " (driving)";
     if (!in_batch[i]) os << " (batch: fused into prior step)";
-    // Cost plans: the model's estimated bindings for the step, the
-    // per-execution actual observed so far (cumulative, process-wide
-    // via CostFeedback) and the error factor between the two — the
-    // at-a-glance misestimate view behind the shell's :plan/:profile.
-    if (p.cost_ordered && step.original_index < p.est_rows.size() &&
+    // Enumerated plans: the cost model's estimated bindings for the
+    // step over one whole execution.
+    if (step.original_index < p.est_rows.size() &&
         p.est_rows[step.original_index] >= 0.0) {
-      const double est = p.est_rows[step.original_index];
-      char buf[96];
-      std::snprintf(buf, sizeof(buf), " est~%.3g", est);
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), " est~%.3g",
+                    p.est_rows[step.original_index]);
       os << buf;
-      const CostFeedback::Cell* cell = p.feedback[step.original_index];
-      const uint64_t execs =
-          cell == nullptr
-              ? 0
-              : cell->executions.load(std::memory_order_relaxed);
-      if (execs > 0) {
-        const double actual =
-            static_cast<double>(
-                cell->actual_bindings.load(std::memory_order_relaxed)) /
-            static_cast<double>(execs);
-        const double err =
-            (actual + 1.0) / (est + 1.0);  // >1: underestimated
-        std::snprintf(buf, sizeof(buf), " actual~%.3g err x%.2f", actual,
-                      err);
-        os << buf;
-      }
     }
     os << "\n";
   }
   if (p.steps.empty()) os << "  (empty body: emit head once)\n";
-  os << "  planner: " << PlannerModeName(p.planner);
-  if (p.planner == PlannerMode::kCost && !p.cost_ordered) {
-    os << " (greedy fallback)";
-  }
-  os << "\n";
   std::string out = os.str();
   out.pop_back();
   return out;
@@ -583,45 +555,6 @@ void RuleExecutor::Execute(const RelationSource& source, int delta_literal,
   Result<PreparedPlan> plan = Prepare(source, delta_literal);
   if (!plan.ok()) return;  // Create() validated; cannot fail here
   ExecutePlanBatched(*plan, source, delta_literal, sink, stats);
-}
-
-void RuleExecutor::RecordFeedback(
-    const Plan& plan, const RelationSource& source, int delta_literal,
-    const std::vector<uint64_t>& literal_bindings, size_t morsel_begin,
-    size_t morsel_end) const {
-  if (plan.feedback.empty()) return;  // greedy plan: no cost model to feed
-  // A morsel execution covers only a slice of the driving relation, so
-  // it records the matching slice of the whole-execution estimates —
-  // the summed (actual, estimated) pairs over all morsels then compare
-  // one full execution against one full estimate.
-  double fraction = 1.0;
-  if (morsel_end != kNoMorsel && plan.driving_step >= 0) {
-    const LiteralStep& drv =
-        plan.steps[static_cast<size_t>(plan.driving_step)];
-    const Relation* rel = nullptr;
-    if (delta_literal >= 0 &&
-        drv.original_index == static_cast<size_t>(delta_literal)) {
-      rel = source.Delta(drv.pred);
-    }
-    if (rel == nullptr) rel = source.Full(drv.pred);
-    const size_t n = rel == nullptr ? 0 : rel->size();
-    if (n > 0) {
-      const size_t end = std::min(morsel_end, n);
-      const size_t begin = std::min(morsel_begin, end);
-      fraction = static_cast<double>(end - begin) / static_cast<double>(n);
-    }
-  }
-  for (size_t i = 0; i < plan.feedback.size(); ++i) {
-    CostFeedback::Cell* cell = plan.feedback[i];
-    if (cell == nullptr) continue;
-    const uint64_t est = static_cast<uint64_t>(
-        std::max(0.0, plan.est_rows[i]) * fraction + 0.5);
-    cell->executions.fetch_add(1, std::memory_order_relaxed);
-    const uint64_t actual =
-        i < literal_bindings.size() ? literal_bindings[i] : 0;
-    cell->actual_bindings.fetch_add(actual, std::memory_order_relaxed);
-    cell->estimated_bindings.fetch_add(est, std::memory_order_relaxed);
-  }
 }
 
 RuleExecutor::BatchScratch::BatchScratch() = default;
@@ -660,7 +593,6 @@ void RuleExecutor::ExecutePlanBatched(
   ctx->vectorize = vectorize;
   ctx->bindings = 0;
   ctx->comparisons = 0;
-  ctx->literal_bindings.assign(rule_.body().size(), 0);
   // Seed the pipeline with a single all-unbound frame; the planner's
   // static bound set decides which slots each step may read.
   StepScratch& seed = ctx->steps[0];
@@ -676,8 +608,6 @@ void RuleExecutor::ExecutePlanBatched(
     stats->comparison_checks += ctx->comparisons;
     stats->batches += ctx->batches;
   }
-  RecordFeedback(p, source, delta_literal, ctx->literal_bindings,
-                 morsel_begin, morsel_end);
 }
 
 void RuleExecutor::RunBatchFrom(const Plan& plan,
@@ -904,7 +834,6 @@ void RuleExecutor::RunBatchFrom(const Plan& plan,
         // positive literal explores one binding when its (unique) match
         // exists.
         ++ctx->bindings;
-        ++ctx->literal_bindings[fc.original_index];
       }
     }
     return true;
@@ -1026,7 +955,6 @@ void RuleExecutor::RunBatchFrom(const Plan& plan,
         const Value* row_vals = relation->row(hits[i]).data();
         if (no_checks || passes(row, row_vals, step.probe_checks)) {
           ++ctx->bindings;
-          ++ctx->literal_bindings[step.original_index];
           if (!has_fused || fused_pass(row, row_vals)) emit(row, row_vals);
         }
       }
@@ -1111,7 +1039,6 @@ void RuleExecutor::RunBatchFrom(const Plan& plan,
           }
           const Value* row_vals = relation->row(hits[i]).data();
           ++ctx->bindings;
-          ++ctx->literal_bindings[step.original_index];
           if (!has_fused || fused_pass(row, row_vals)) emit(row, row_vals);
         }
       }
@@ -1122,8 +1049,7 @@ void RuleExecutor::RunBatchFrom(const Plan& plan,
           const Value* row_vals = relation->row(i).data();
           if (passes(row, row_vals, step.scan_checks)) {
             ++ctx->bindings;
-            ++ctx->literal_bindings[step.original_index];
-            if (!has_fused || fused_pass(row, row_vals)) emit(row, row_vals);
+              if (!has_fused || fused_pass(row, row_vals)) emit(row, row_vals);
           }
         }
       }

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "ast/rule.h"
-#include "eval/cost_planner.h"
 #include "eval/eval_stats.h"
 #include "storage/database.h"
 #include "storage/relation.h"
@@ -58,11 +57,12 @@ using BatchSink = std::function<void(const TupleBuffer&)>;
 ///
 /// Construction validates safety (every literal can be ordered so its
 /// variables are bound when needed) and assigns dense frame slots.
-/// Execution plans the join order greedily — most-bound literals first,
-/// evaluable literals as soon as their variables are bound, `=`
-/// literals allowed to bind one side — with ties broken by the *actual
-/// current cardinality* of each literal's relation, so cheap auxiliary
-/// relations are probed before expensive fan-out joins. Joins run as
+/// Prepare orders the positive relational literals with the cost
+/// enumerator (CostPlanner::Enumerate over current relation sizes and
+/// distinct sketches); evaluable literals run as soon as their
+/// variables are bound and `=` literals may bind one side. Bodies
+/// outside the enumerator's envelope keep the greedy pick — most-bound
+/// literals first, ties to the smallest current relation. Joins run as
 /// index nested loops probing hash indexes on the bound columns, one
 /// block at a time: `ExecutePlanBatched` streams flat frame blocks
 /// through the step pipeline so hashing, filtering and negation
@@ -149,20 +149,14 @@ class RuleExecutor {
   /// is intentionally NOT built — a partitioned plan must be executed
   /// with a morsel range, and must never be replayed as a one-lane
   /// plan (the plan cache keys on `partition` for exactly this reason).
-  /// `planner` selects the join-order planner: kGreedy keeps the
-  /// one-pass heuristic; kCost runs CostPlanner::Enumerate over the
-  /// positive relational literals (falling back to greedy outside its
-  /// envelope) and resolves CostFeedback cells so executions of the
-  /// plan feed actual binding counts back into the cost model. Both
-  /// regimes respect the same structural invariants: the delta rotates
-  /// to the front of partitioned plans, the driving step is marked
-  /// after ordering, and batch fusion/tail emission run on the chosen
-  /// order.
+  /// The join order comes from CostPlanner::Enumerate over the positive
+  /// relational literals (with the delta pinned first when partitioned);
+  /// bodies outside its envelope keep BuildPlan's greedy pick. Filters,
+  /// binding `=`, batch fusion and tail emission run on the chosen
+  /// order either way.
   Result<PreparedPlan> Prepare(const RelationSource& source,
-                               int delta_literal, bool size_aware = true,
-                               bool partition = false,
-                               PlannerMode planner = PlannerMode::kGreedy)
-      const;
+                               int delta_literal,
+                               bool partition = false) const;
 
   /// Re-ensures every index `plan` probes still exists — a cheap no-op
   /// when they all do. The plan cache calls this on a hit: a cached
@@ -221,7 +215,8 @@ class RuleExecutor {
 
   /// Human-readable description of `plan`: one line per step in
   /// execution order showing the literal, its access path (scan or
-  /// probe[columns]) and the delta marker. Backs the shell's `:plan`.
+  /// probe[columns]), the delta marker and, for enumerated orders, the
+  /// cost model's `est~` bindings. Backs the shell's `:plan`.
   std::string DescribePlan(const PreparedPlan& plan,
                            int delta_literal = -1) const;
 
@@ -331,21 +326,12 @@ class RuleExecutor {
     /// Widest probe key / negated membership row / head tuple the plan
     /// ever materializes into the shared scratch row.
     size_t max_row_width = 0;
-    /// Planner regime the plan was built under, and whether the cost
-    /// enumerator's order was actually used (false under kCost means
-    /// the body fell outside the enumerable envelope and the greedy
-    /// order was kept; see CostPlanner::Enumerate).
-    PlannerMode planner = PlannerMode::kGreedy;
-    bool cost_ordered = false;
-    /// Cost-ordered plans: estimated bindings per ORIGINAL body literal
+    /// Enumerated plans: estimated bindings per ORIGINAL body literal
     /// over a whole (unrestricted) execution; -1 for literals without
-    /// an estimate. Drives DescribePlan's est/actual columns and the
-    /// post-execution feedback fold.
+    /// an estimate. Empty when the body fell outside the enumerator's
+    /// envelope and the greedy order was kept. Drives DescribePlan's
+    /// `est~` annotation.
     std::vector<double> est_rows;
-    /// Cost-ordered plans: the CostFeedback cell per original body
-    /// literal (nullptr where no estimate exists). Empty for greedy
-    /// plans, so the greedy execution path never touches the store.
-    std::vector<CostFeedback::Cell*> feedback;
   };
 
   /// A flat row-major block of execution frames (`rows * slot_count_`
@@ -394,9 +380,6 @@ class RuleExecutor {
     // Logical counters, folded into EvalStats once at the end.
     size_t bindings = 0;
     size_t comparisons = 0;
-    // Per original-body-literal split of `bindings` (cost-planner
-    // feedback fold); zeroed per execution call.
-    std::vector<uint64_t> literal_bindings;
   };
 
   RuleExecutor() : rule_("", Atom(SymbolId(0), {}), {}) {}
@@ -406,8 +389,9 @@ class RuleExecutor {
   /// on the plan-construction path).
   uint32_t SlotFor(SymbolId v) const;
 
-  /// Greedy planner. `size_of` estimates a literal's input cardinality
-  /// (SIZE_MAX when unknown); pass nullptr for the size-blind plan.
+  /// Schedules the body. `size_of` estimates a literal's input
+  /// cardinality for the greedy pick's tie-break (SIZE_MAX when
+  /// unknown); Create passes nullptr, validating safety only.
   /// `force_first`, when >= 0, is an original-body index whose literal
   /// is scheduled as early as the safety/binding constraints allow —
   /// in practice first among the relational steps, since a positive
@@ -417,7 +401,7 @@ class RuleExecutor {
   /// positive relational literals with that exact sequence of
   /// original-body indices (the cost enumerator's output); filters,
   /// negations and binding `=` still interleave at their earliest safe
-  /// position exactly as under the greedy planner.
+  /// position either way.
   Result<Plan> BuildPlan(const std::function<size_t(size_t)>* size_of,
                          int force_first = -1,
                          const std::vector<size_t>* relational_order =
@@ -437,17 +421,6 @@ class RuleExecutor {
   /// of the planned order and the logical counters (bindings/
   /// comparisons) do not depend on the fusion.
   static void FuseBatchChecks(Plan* plan, int delta_literal);
-
-  /// Folds one execution call's per-original-literal match counts into
-  /// the plan's CostFeedback cells (no-op for plans without feedback
-  /// cells, i.e. every greedy plan). `[morsel_begin, morsel_end)`
-  /// scales the whole-execution estimates down to this call's share of
-  /// the driving relation, so a morsel execution records its slice of
-  /// the estimate against its slice of the actuals.
-  void RecordFeedback(const Plan& plan, const RelationSource& source,
-                      int delta_literal,
-                      const std::vector<uint64_t>& literal_bindings,
-                      size_t morsel_begin, size_t morsel_end) const;
 
   /// Batched engine: drains `ctx->steps[step_index].input` through the
   /// remaining steps, flushing intermediate blocks whenever they fill.

@@ -26,15 +26,14 @@ SharedPlanCache::Shard& SharedPlanCache::ShardFor(const RuleExecutor& exec) {
 
 Result<RuleExecutor::PreparedPlan> SharedPlanCache::Get(
     const RuleExecutor& exec, const RelationSource& source, int delta_literal,
-    EvalStats* stats, bool size_aware, bool partitioned, PlannerMode planner,
-    bool coarse_bands) {
+    EvalStats* stats, bool partitioned, bool coarse_bands) {
   Shard& shard = ShardFor(exec);
   size_t hits_before, result_hits;
   Result<RuleExecutor::PreparedPlan> plan = [&] {
     std::lock_guard<std::mutex> lock(shard.mu);
     hits_before = shard.cache.hits();
-    auto r = shard.cache.Get(exec, source, delta_literal, stats, size_aware,
-                             partitioned, planner, coarse_bands);
+    auto r = shard.cache.Get(exec, source, delta_literal, stats, partitioned,
+                             coarse_bands);
     result_hits = shard.cache.hits();
     return r;
   }();

@@ -12,7 +12,7 @@ namespace semopt {
 
 /// A cross-session plan cache: N independently-locked PlanCache shards,
 /// selected by a hash of the rule's text. PlanCache entries are already
-/// content-addressed (rule text + planner flags + cardinality bands),
+/// content-addressed (rule text + regime flags + cardinality bands),
 /// so plans prepared by one session are valid for every other session
 /// evaluating over the same shared database — the only thing sharing
 /// needs is locking, and sharding keeps concurrent coordinators from
@@ -37,9 +37,7 @@ class SharedPlanCache : public PlanCacheInterface {
 
   Result<RuleExecutor::PreparedPlan> Get(
       const RuleExecutor& exec, const RelationSource& source,
-      int delta_literal, EvalStats* stats, bool size_aware = true,
-      bool partitioned = false,
-      PlannerMode planner = PlannerMode::kGreedy,
+      int delta_literal, EvalStats* stats, bool partitioned = false,
       bool coarse_bands = false) override;
 
   void Clear() override;

@@ -237,9 +237,7 @@ Result<bool> RunRound(
       SEMOPT_ASSIGN_OR_RETURN(
           exec.plan,
           engine.plan_cache.Get(executor, planning_source,
-                                exec.delta_literal, stats,
-                                options.cardinality_planning, partitioned,
-                                options.planner));
+                                exec.delta_literal, stats, partitioned));
       exec.driving_literal = executor.DrivingLiteral(exec.plan);
       if (exec.driving_literal < 0) {
         // Nothing to carve (unpartitioned plan, probed first step, or

@@ -321,10 +321,7 @@ Result<QueryResult> RunEdbPlan(const QueryPlan& plan, const Database& db,
   DatabaseSource source(&db);
   SEMOPT_ASSIGN_OR_RETURN(
       RuleExecutor::PreparedPlan prepared,
-      exec.Prepare(source, -1, options.cardinality_planning,
-                   /*partition=*/false,
-                   options.cardinality_planning ? options.planner
-                                                : PlannerMode::kGreedy));
+      exec.Prepare(source, -1));
   Relation answers(rule.head().pred_id());
   size_t derived = 0, duplicates = 0;
   exec.ExecutePlanBatched(

@@ -408,7 +408,6 @@ std::string SessionCommandProcessor::HandleCommand(std::string_view line) {
   // its historical meaning of sourcing a text program file.
   if (cmd == ":load") return CmdLoadBinary(args);
   if (cmd == ".simd" || cmd == ":simd") return CmdSimd(args);
-  if (cmd == ".planner" || cmd == ":planner") return CmdPlanner(args);
   if (cmd == ".stats") {
     show_stats_ = args.empty() || args[0] != "off";
     return StrCat("stats ", show_stats_ ? "on" : "off");
@@ -453,10 +452,8 @@ commands:
   .stats [on|off]          show evaluation statistics with query answers
   :threads [N]             evaluate with N lanes (default 1, 0 = auto)
   :simd [on|off|auto]      vectorized executor kernels (auto = detect)
-  :planner [greedy|cost]   join-order planner (cost = enumerated from
-                           sizes/distincts + runtime feedback)
   :plan PRED[/ARITY]       show the join plan of every rule deriving PRED
-                           (cost planner: est/actual rows per step)
+                           (est~ = the planner's estimated rows per step)
   :trace FILE|on|off       record spans; on stop, write Chrome trace JSON
                            (open in chrome://tracing or ui.perfetto.dev)
   :metrics [on|off]        collect per-rule/per-round metrics; no args:
@@ -697,18 +694,16 @@ std::string SessionCommandProcessor::CmdPlan(
         continue;
       }
       ++shown;
-      Result<RuleExecutor::PreparedPlan> plan = pr.executor.Prepare(
-          source, -1, eval_options_.cardinality_planning,
-          /*partition=*/false, eval_options_.planner);
+      Result<RuleExecutor::PreparedPlan> plan =
+          pr.executor.Prepare(source, -1);
       if (!plan.ok()) {
         os << plan.status().ToString() << "\n";
         continue;
       }
       os << pr.executor.DescribePlan(*plan) << "\n";
       for (int lit_index : pr.recursive_literals) {
-        Result<RuleExecutor::PreparedPlan> delta_plan = pr.executor.Prepare(
-            source, lit_index, eval_options_.cardinality_planning,
-            /*partition=*/false, eval_options_.planner);
+        Result<RuleExecutor::PreparedPlan> delta_plan =
+            pr.executor.Prepare(source, lit_index);
         if (!delta_plan.ok()) continue;
         os << "with delta on body literal " << lit_index << ":\n"
            << pr.executor.DescribePlan(*delta_plan, lit_index) << "\n";
@@ -814,8 +809,7 @@ std::string SessionCommandProcessor::CmdProfile(std::string_view rest) {
   // stats), over the database they read.
   DatabaseSnapshot snap = host_->Snapshot();
   os << ExplainAnalyze(last_plan_.program,
-                       QueryPlanDatabase(last_plan_, snap.db()), last_stats_,
-                       eval_options_);
+                       QueryPlanDatabase(last_plan_, snap.db()), last_stats_);
   return os.str();
 }
 
@@ -962,36 +956,6 @@ std::string SessionCommandProcessor::CmdSimd(
   }
   // Centralized validation; on rejection surface the validator's
   // message and keep the previous setting (same contract as :threads).
-  if (Status s = ValidateEvalOptions(candidate); !s.ok()) {
-    return s.ToString();
-  }
-  eval_options_ = candidate;
-  return describe();
-}
-
-std::string SessionCommandProcessor::CmdPlanner(
-    const std::vector<std::string>& args) {
-  auto describe = [this]() {
-    if (eval_options_.planner == PlannerMode::kCost) {
-      return StrCat("planner cost (enumerated join orders; est/actual in "
-                    ":plan)");
-    }
-    return StrCat("planner greedy (one-pass heuristic)");
-  };
-  if (args.empty()) return describe();
-  EvalOptions candidate = eval_options_;
-  if (args[0] == "greedy") {
-    candidate.planner = PlannerMode::kGreedy;
-  } else if (args[0] == "cost") {
-    candidate.planner = PlannerMode::kCost;
-  } else {
-    return "usage: :planner [greedy|cost]";
-  }
-  // Centralized validation; on rejection surface the validator's
-  // message and keep the previous setting (same contract as :simd).
-  // The choice is session-private: eval_options_ rides on this
-  // processor only, so other sessions keep their own planner (and the
-  // shared plan cache keys on the mode, so plans never cross regimes).
   if (Status s = ValidateEvalOptions(candidate); !s.ok()) {
     return s.ToString();
   }

@@ -177,7 +177,6 @@ class SessionCommandProcessor {
   std::string CmdDump(const std::vector<std::string>& args);
   std::string CmdLoadBinary(const std::vector<std::string>& args);
   std::string CmdSimd(const std::vector<std::string>& args);
-  std::string CmdPlanner(const std::vector<std::string>& args);
   std::string CmdMaterialize(const std::vector<std::string>& args);
 
   std::string CmdThreads(const std::vector<std::string>& args);

@@ -32,7 +32,6 @@ namespace semopt {
 ///   :threads N               evaluate queries with N worker lanes
 ///   :trace FILE / :trace off start/stop a Chrome trace_event session
 ///   :metrics [on|off]        per-rule metrics collection + report
-///   :planner greedy|cost     join-order planner for query evaluation
 ///   :plan PRED               show each PRED rule's join plan
 class Shell {
  public:

@@ -1,6 +1,7 @@
 #include "storage/relation.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <sstream>
 
@@ -126,9 +127,9 @@ bool Relation::Insert(RowRef row, size_t hash) {
   if (!inserted) return false;
   // Mutation is exclusive by contract, so the stale columnar snapshot
   // can be dropped without the lock. The null check keeps the common
-  // bulk-insert case (cache already gone) a single branch.
+  // bulk-insert case (cache already gone) a single branch. The planning
+  // stats stay: EnsureStats refreshes them by row-count band.
   if (columns_ != nullptr) columns_.reset();
-  if (stats_ != nullptr) stats_.reset();
   for (IndexNode* n = index_head_.load(std::memory_order_acquire);
        n != nullptr; n = n->next) {
     IndexInsert(n->index, id);
@@ -212,7 +213,6 @@ Relation::CommitCounts Relation::CommitCounted(const TupleBuffer& rows,
       (*row_ids)[start + j] = id;
       if (inserted) {
         if (columns_ != nullptr) columns_.reset();
-        if (stats_ != nullptr) stats_.reset();
         for (IndexNode* node = index_head_.load(std::memory_order_acquire);
              node != nullptr; node = node->next) {
           IndexInsert(node->index, id);
@@ -251,10 +251,7 @@ size_t Relation::Erase(const TupleBuffer& victims,
     }
     ++erased;
   }
-  if (erased > 0) {
-    columns_.reset();
-    stats_.reset();
-  }
+  if (erased > 0) columns_.reset();
   return erased;
 }
 
@@ -445,42 +442,54 @@ std::shared_ptr<const ColumnView> Relation::EnsureColumns() const {
 
 std::shared_ptr<const RelationStats> Relation::EnsureStats() const {
   std::lock_guard<std::mutex> lock(*index_mu_);
-  if (stats_ != nullptr && stats_->rows == store_.size()) return stats_;
+  // Band-stable: the sketch is reused until the row count leaves
+  // [rows/2, 2*rows] of the count it was built at. Join orders only
+  // move with order-of-magnitude size changes, and a rescan per write
+  // would make every plan-cache miss under a steady writer O(relation).
+  // A relation growing from empty rebuilds at geometric sizes, so the
+  // total sketching work stays O(final size).
+  if (stats_ != nullptr && store_.size() >= stats_->rows / 2 &&
+      store_.size() <= 2 * stats_->rows) {
+    return stats_;
+  }
 
-  // Linear-counting sketch: one bitmap of kSketchBits per column; a
+  // Linear-counting sketch: one bitmap of `sketch_bits` per column; a
   // value sets the bit its hash lands on, and the distinct count is
   // estimated from the fraction of bits still clear. Exact while
-  // distinct << kSketchBits; saturates to the row count beyond that
-  // (where "huge" is all the cost model needs to know).
-  constexpr size_t kSketchBits = 4096;
-  constexpr size_t kWords = kSketchBits / 64;
+  // distinct << sketch_bits; saturates to the row count beyond that
+  // (where "huge" is all the cost model needs to know). The bitmap is
+  // sized to 8 bits per row up to 4096, so the many small relations a
+  // short evaluation plans over sketch in a few words.
   const uint32_t width = arity();
   const size_t n = store_.size();
+  const size_t sketch_bits =
+      std::min<size_t>(4096, std::max<size_t>(64, std::bit_ceil(8 * n)));
+  const size_t words = sketch_bits / 64;
   auto stats = std::make_shared<RelationStats>();
   stats->rows = n;
   stats->distinct.assign(width, 0);
   if (n > 0 && width > 0) {
-    std::vector<uint64_t> bitmaps(static_cast<size_t>(width) * kWords, 0);
+    std::vector<uint64_t> bitmaps(static_cast<size_t>(width) * words, 0);
     for (size_t r = 0; r < n; ++r) {
       const Value* vals = store_.row_data(static_cast<RowId>(r));
       for (uint32_t c = 0; c < width; ++c) {
-        const size_t h = HashValues(&vals[c], 1) % kSketchBits;
-        bitmaps[c * kWords + h / 64] |= uint64_t{1} << (h % 64);
+        const size_t h = HashValues(&vals[c], 1) % sketch_bits;
+        bitmaps[c * words + h / 64] |= uint64_t{1} << (h % 64);
       }
     }
     for (uint32_t c = 0; c < width; ++c) {
       size_t set_bits = 0;
-      for (size_t w = 0; w < kWords; ++w) {
+      for (size_t w = 0; w < words; ++w) {
         set_bits += static_cast<size_t>(
-            __builtin_popcountll(bitmaps[c * kWords + w]));
+            __builtin_popcountll(bitmaps[c * words + w]));
       }
-      const size_t zero = kSketchBits - set_bits;
+      const size_t zero = sketch_bits - set_bits;
       double estimate;
       if (zero == 0) {
         estimate = static_cast<double>(n);
       } else {
-        estimate = static_cast<double>(kSketchBits) *
-                   std::log(static_cast<double>(kSketchBits) /
+        estimate = static_cast<double>(sketch_bits) *
+                   std::log(static_cast<double>(sketch_bits) /
                             static_cast<double>(zero));
       }
       const double clamped =

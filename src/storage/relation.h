@@ -192,12 +192,13 @@ class Relation {
   /// per-relation mutex; the loser reuses the winner's view).
   std::shared_ptr<const ColumnView> EnsureColumns() const;
 
-  /// Returns per-column distinct-count estimates for the current rows,
-  /// building and caching them on first use — the same lazy/invalidate
-  /// discipline as EnsureColumns (dropped on mutation, rebuilt when the
-  /// row count moved). The cost planner consults this at plan time
-  /// only, i.e. on plan-cache misses, so steady-state evaluation never
-  /// pays for it. Same concurrency contract as EnsureColumns.
+  /// Returns per-column distinct-count estimates, building and caching
+  /// them on first use. Unlike EnsureColumns the cache survives Insert
+  /// and Erase: it is rebuilt only once the row count leaves
+  /// [rows/2, 2*rows] of the count it was sketched at (Clear drops it),
+  /// so the returned `rows` may lag the current size within that band.
+  /// The join planner consults this at plan time only, i.e. on
+  /// plan-cache misses. Same concurrency contract as EnsureColumns.
   std::shared_ptr<const RelationStats> EnsureStats() const;
 
   /// True when a hash index over exactly `columns` is materialized.
@@ -330,8 +331,8 @@ class Relation {
   /// for concurrent readers; reset without the lock during (exclusive)
   /// mutation. Never copied between relations — each rebuilds lazily.
   mutable std::shared_ptr<const ColumnView> columns_;
-  /// Cached planning statistics (EnsureStats). Same guarding and
-  /// invalidation discipline as `columns_`.
+  /// Cached planning statistics (EnsureStats). Guarded by `index_mu_`
+  /// like `columns_`, but kept across Insert/Erase (band-refreshed).
   mutable std::shared_ptr<const RelationStats> stats_;
 };
 

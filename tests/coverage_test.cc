@@ -242,21 +242,6 @@ TEST(EvaluationTest, ComparisonOnlyJoinsAcrossRelations) {
 }
 
 
-TEST(AblationFlagsTest, SizeBlindPlanningStillCorrect) {
-  Program p = MustParse(R"(
-    t(X, Y) :- e(X, Y).
-    t(X, Y) :- t(X, Z), e(Z, Y).
-  )");
-  Database edb = MustParseFacts("e(a, b). e(b, c). e(c, a). e(c, d).");
-  EvalOptions blind;
-  blind.cardinality_planning = false;
-  Result<Database> a = Evaluate(p, edb, blind);
-  Result<Database> b = Evaluate(p, edb, EvalOptions());
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_TRUE(a->SameFactsAs(*b));
-}
-
 TEST(AblationFlagsTest, UnslicedMagicStillCorrect) {
   Program p = MustParse(R"(
     r0: t(X, Y) :- base(X, Y).

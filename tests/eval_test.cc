@@ -145,8 +145,7 @@ TEST(RuleExecutorTest, PlanPutsFiltersEarly) {
   ASSERT_TRUE(exec.ok());
   Database db;
   DatabaseSource source(&db);
-  Result<RuleExecutor::PreparedPlan> plan =
-      exec->Prepare(source, -1, /*size_aware=*/false);
+  Result<RuleExecutor::PreparedPlan> plan = exec->Prepare(source, -1);
   ASSERT_TRUE(plan.ok());
   // X > 1 must come right after n(X), before e probes on X.
   const std::string text = exec->DescribePlan(*plan);
@@ -467,8 +466,8 @@ TEST(PlanCacheTest, CoarseBandsCollapseSmallSizesIntoOneKey) {
   PlanCache cache;
   EvalStats stats;
   auto get = [&](bool coarse) {
-    return cache.Get(*exec, source, -1, &stats, /*size_aware=*/true,
-                     /*partitioned=*/false, PlannerMode::kGreedy, coarse);
+    return cache.Get(*exec, source, -1, &stats, /*partitioned=*/false,
+                     coarse);
   };
   ASSERT_TRUE(get(true).ok());
   EXPECT_EQ(cache.misses(), 1u);
@@ -493,8 +492,7 @@ TEST(PlanCacheTest, CoarseBandsCollapseSmallSizesIntoOneKey) {
   db2.AddTuple("e", {Term::Int(0), Term::Int(1)});
   DatabaseSource source2(&db2);
   ASSERT_TRUE(cache
-                  .Get(*exec, source2, -1, &stats, /*size_aware=*/true,
-                       /*partitioned=*/false, PlannerMode::kGreedy,
+                  .Get(*exec, source2, -1, &stats, /*partitioned=*/false,
                        /*coarse_bands=*/false)
                   .ok());
   EXPECT_EQ(cache.misses(), 3u);
@@ -522,8 +520,8 @@ TEST(PlanCacheTest, PartitionRegimeIsPartOfTheKey) {
   // Same rule, same delta, same bands — the partitioned regime still
   // misses and produces the morsel shape (delta rotated to the front
   // and marked driving).
-  Result<RuleExecutor::PreparedPlan> partitioned = cache.Get(
-      *exec, source, 1, &stats, /*size_aware=*/true, /*partitioned=*/true);
+  Result<RuleExecutor::PreparedPlan> partitioned =
+      cache.Get(*exec, source, 1, &stats, /*partitioned=*/true);
   ASSERT_TRUE(partitioned.ok());
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.hits(), 0u);
@@ -532,40 +530,7 @@ TEST(PlanCacheTest, PartitionRegimeIsPartOfTheKey) {
 
   // Each regime keeps hitting its own entry.
   ASSERT_TRUE(cache.Get(*exec, source, 1, &stats).ok());
-  ASSERT_TRUE(cache.Get(*exec, source, 1, &stats, true, true).ok());
-  EXPECT_EQ(cache.hits(), 2u);
-  EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(PlanCacheTest, PlannerRegimeIsPartOfTheKey) {
-  // A session that flips `:planner` (or two sessions with different
-  // planners sharing one cache) must never be served the other
-  // regime's join order: greedy and cost plans for the same
-  // (rule, delta, bands) are distinct entries that coexist.
-  Database db = MustParseFacts("e(a, b). e(b, c). t(a, b).");
-  DatabaseSource source(&db);
-  Result<RuleExecutor> exec =
-      RuleExecutor::Create(MustParseRule("t(X, Z) :- e(X, Y), t(Y, Z)"));
-  ASSERT_TRUE(exec.ok());
-
-  PlanCache cache;
-  EvalStats stats;
-  ASSERT_TRUE(cache.Get(*exec, source, -1, &stats).ok());
-  EXPECT_EQ(cache.misses(), 1u);
-
-  // Same rule, same delta, same bands — the cost regime still misses.
-  ASSERT_TRUE(cache.Get(*exec, source, -1, &stats, /*size_aware=*/true,
-                        /*partitioned=*/false, PlannerMode::kCost).ok());
-  EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.size(), 2u);
-
-  // Each regime keeps hitting its own entry.
-  ASSERT_TRUE(cache.Get(*exec, source, -1, &stats).ok());
-  ASSERT_TRUE(
-      cache.Get(*exec, source, -1, &stats, true, false, PlannerMode::kCost)
-          .ok());
+  ASSERT_TRUE(cache.Get(*exec, source, 1, &stats, /*partitioned=*/true).ok());
   EXPECT_EQ(cache.hits(), 2u);
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.size(), 2u);

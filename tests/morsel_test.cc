@@ -223,8 +223,8 @@ TEST(MorselPlanShapeTest, PartitionedPrepareMarksDeltaAsDriving) {
 
   // A partitioned plan rotates the delta occurrence (body literal 1) to
   // the front and marks it driving; morsels clamp its scan.
-  Result<RuleExecutor::PreparedPlan> plan = exec->Prepare(
-      source, /*delta_literal=*/1, /*size_aware=*/true, /*partition=*/true);
+  Result<RuleExecutor::PreparedPlan> plan =
+      exec->Prepare(source, /*delta_literal=*/1, /*partition=*/true);
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(exec->DrivingLiteral(*plan), 1);
   std::string text = exec->DescribePlan(*plan, 1);
@@ -241,7 +241,7 @@ TEST(MorselPlanShapeTest, NonDeltaPartitionedPlanDrivesFirstPositive) {
       MustParseRule("p(X, Z) :- e(X, Y), f(Y, Z), X != Z"));
   ASSERT_TRUE(exec.ok());
   Result<RuleExecutor::PreparedPlan> plan =
-      exec->Prepare(source, -1, true, /*partition=*/true);
+      exec->Prepare(source, -1, /*partition=*/true);
   ASSERT_TRUE(plan.ok());
   // No delta: the plan's first positive relational step drives, and its
   // original body index is reported so the round can carve that
@@ -266,7 +266,7 @@ TEST(MorselPlanShapeTest, BoundLookupProbesInOneMorsel) {
       RuleExecutor::Create(MustParseRule("answer(Y) :- e(17, Y)"));
   ASSERT_TRUE(exec.ok());
   Result<RuleExecutor::PreparedPlan> plan =
-      exec->Prepare(source, -1, true, /*partition=*/true);
+      exec->Prepare(source, -1, /*partition=*/true);
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(exec->DrivingLiteral(*plan), -1);
   const std::string text = exec->DescribePlan(*plan);
@@ -293,7 +293,7 @@ TEST(MorselPlanShapeTest, MorselRangeRestrictsDrivingScan) {
       RuleExecutor::Create(MustParseRule("p(X, Y) :- e(X, Y)"));
   ASSERT_TRUE(exec.ok());
   Result<RuleExecutor::PreparedPlan> plan =
-      exec->Prepare(source, -1, true, /*partition=*/true);
+      exec->Prepare(source, -1, /*partition=*/true);
   ASSERT_TRUE(plan.ok());
 
   size_t rows = 0;

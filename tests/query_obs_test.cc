@@ -402,24 +402,20 @@ TEST(ProfileGoldenTest, FixedQueryRendersStableShape) {
     s#/r#: # us, # -> #, derived #
     s#/r#: # us, # -> #, derived #
     s#/r#: # us, # -> #, derived #
-planner: greedy
 stratum # (recursive, # rules):
 r#$q: t$q(X, Y) :- query$seed($k#), e(X, Y), X = $k#.
-  #. query$seed($k#)  [scan]
+  #. query$seed($k#)  [scan] est~#
   #. X = $k#  [bind]
-  #. e(X, Y)  [probe cols #]
-  planner: greedy
+  #. e(X, Y)  [probe cols #] est~#
   actual: # application(s), # derived, # duplicate(s), # us (#.#% of eval)
 r#$q: t$q(X, Z) :- t$q(X, Y), e(Y, Z).
-  #. t$q(X, Y)  [scan]
-  #. e(Y, Z)  [probe cols #]
-  planner: greedy
+  #. t$q(X, Y)  [scan] est~#.#
+  #. e(Y, Z)  [probe cols #] est~#.#
   actual: # application(s), # derived, # duplicate(s), # us (#.#% of eval)
 stratum # (non-recursive, # rule):
 query$: query$answer(Y) :- query$seed($k#), t$q($k#, Y).
-  #. t$q($k#, Y)  [scan]
-  #. query$seed($k#)  [probe cols #] (batch: fused into prior step)
-  planner: greedy
+  #. t$q($k#, Y)  [scan] est~#.#
+  #. query$seed($k#)  [probe cols #] (batch: fused into prior step) est~#.#
   actual: # application(s), # derived, # duplicate(s), # us (#.#% of eval)
 rounds (stratum/round: time, delta in -> out, derived):
   s#/r#: # us, # -> #, derived #

@@ -179,6 +179,9 @@ TEST_F(ShellTest, UnknownCommand) {
   // The block size is a library option only; the session has no command.
   EXPECT_NE(shell_.Execute(":batch 8").find("unknown command"),
             std::string::npos);
+  // There is one join planner and no command to pick another.
+  EXPECT_NE(shell_.Execute(":planner cost").find("unknown command"),
+            std::string::npos);
 }
 
 TEST_F(ShellTest, LoadProgramFile) {

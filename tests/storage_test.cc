@@ -742,6 +742,35 @@ TEST(ColumnViewTest, EnsureColumnsCachesAndInvalidates) {
   EXPECT_EQ(rel.EnsureColumns().get(), before_dup.get());
 }
 
+TEST(RelationStatsTest, SketchIsKeptWithinItsRowCountBand) {
+  Relation rel(Pred("stats_band", 2));
+  constexpr int kRows = 100000;
+  for (int i = 0; i < kRows; ++i) {
+    rel.Insert({Term::Int(i), Term::Int(i % 100)});
+  }
+  std::shared_ptr<const RelationStats> first = rel.EnsureStats();
+  ASSERT_EQ(first->rows, static_cast<size_t>(kRows));
+  // One insert and one erase stay inside [rows/2, 2*rows]: the planner
+  // keeps reading the same sketch instead of rescanning 100k rows.
+  rel.Insert({Term::Int(kRows), Term::Int(0)});
+  TupleBuffer victims(2);
+  victims.Append(RowRef(Tuple{Term::Int(0), Term::Int(0)}));
+  EXPECT_EQ(rel.Erase(victims), 1u);
+  EXPECT_EQ(rel.EnsureStats().get(), first.get());
+  // Doubling the rows leaves the band: a fresh sketch at the new count.
+  for (int i = kRows + 1; i <= 2 * kRows + 1; ++i) {
+    rel.Insert({Term::Int(i), Term::Int(i % 100)});
+  }
+  std::shared_ptr<const RelationStats> second = rel.EnsureStats();
+  EXPECT_NE(second.get(), first.get());
+  EXPECT_EQ(second->rows, rel.size());
+  // Linear counting: within a few values of the true 100.
+  EXPECT_NEAR(static_cast<double>(second->distinct[1]), 100.0, 5.0);
+  // Clear drops the sketch.
+  rel.Clear();
+  EXPECT_EQ(rel.EnsureStats()->rows, 0u);
+}
+
 TEST(ColumnViewTest, ConcurrentEnsureColumnsYieldsOneView) {
   Relation rel(Pred("cvconc", 2));
   for (int i = 0; i < 2000; ++i) {

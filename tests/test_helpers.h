@@ -151,11 +151,8 @@ class DeltaDbSource : public RelationSource {
 /// scalar loops.
 inline std::vector<std::string> RunRuleBatched(
     const RuleExecutor& exec, const RelationSource& source, int delta_literal,
-    size_t batch_size, EvalStats* stats = nullptr, bool vectorize = true,
-    PlannerMode planner = PlannerMode::kGreedy) {
-  Result<RuleExecutor::PreparedPlan> plan =
-      exec.Prepare(source, delta_literal, /*size_aware=*/true,
-                   /*partition=*/false, planner);
+    size_t batch_size, EvalStats* stats = nullptr, bool vectorize = true) {
+  Result<RuleExecutor::PreparedPlan> plan = exec.Prepare(source, delta_literal);
   EXPECT_TRUE(plan.ok()) << plan.status();
   std::vector<std::string> out;
   if (!plan.ok()) return out;
@@ -182,8 +179,7 @@ inline std::vector<std::string> RunRuleBatched(
 /// shares.
 inline EvalStats ExpectRuleMatchesReference(
     const Rule& rule, const Database& db, int delta_literal = -1,
-    const Relation* delta = nullptr,
-    PlannerMode planner = PlannerMode::kGreedy) {
+    const Relation* delta = nullptr) {
   Result<RuleExecutor> exec = RuleExecutor::Create(rule);
   Result<std::vector<Tuple>> reference =
       ReferenceRuleRows(rule, db, delta_literal, delta);
@@ -204,7 +200,7 @@ inline EvalStats ExpectRuleMatchesReference(
       const std::string where = " batch_size=" + std::to_string(batch_size) +
                                 " simd=" + std::to_string(vectorize);
       EXPECT_EQ(RunRuleBatched(*exec, source, delta_literal, batch_size,
-                               &stats, vectorize, planner),
+                               &stats, vectorize),
                 want)
           << rule << where;
       if (!first.has_value()) {

@@ -25,14 +25,7 @@ speedup per pair and flags any pair where the vectorized leg is more
 than 5% *slower* than scalar as a regression;
 ``--fail-on-simd-regression`` turns that into a non-zero exit for CI.
 
-Planner legs pair the same way: a benchmark named ``..._Greedy`` is the
-baseline twin of ``..._Cost`` (the cost-based join-order enumerator,
-see DESIGN.md §15). The "Planner ablation" section reports the
-greedy/cost speedup per pair and flags any pair where the cost leg is
-more than 5% slower than greedy; ``--fail-on-planner-regression``
-turns that into a non-zero exit for CI.
-
-Update-maintenance legs pair a third way: a benchmark named
+Update-maintenance legs pair another way: a benchmark named
 ``..._Incremental`` (counting/DRed incremental view maintenance, see
 DESIGN.md §16) is the optimized twin of the same name with
 ``_Recompute`` (full fixpoint per batch). The "IVM ablation" section
@@ -45,7 +38,6 @@ pair where the incremental leg is more than 5% slower than recompute;
 Usage:
   tools/bench_report.py [--dir bench] [--out-md FILE] [--out-json FILE]
                         [--fail-on-simd-regression]
-                        [--fail-on-planner-regression]
                         [--fail-on-ivm-regression]
 
 With no --out-* flags the markdown goes to stdout.
@@ -163,53 +155,6 @@ def simd_ablation(rows):
     return table
 
 
-# Cost-planner legs may be at most this much slower than their greedy
-# twins before the pair is flagged as a regression. (The cost planner
-# must only ever change orders for the better; where it picks the same
-# order as greedy, the plan cache amortizes the enumeration away.)
-PLANNER_REGRESSION_TOLERANCE = 1.05
-
-
-def planner_pairs(rows):
-    """Pairs greedy/cost twins of the same benchmark config.
-
-    A benchmark named ``..._Greedy`` is the baseline twin of the same
-    name with ``_Cost``. Returns ``(name, greedy_row, cost_row)``
-    tuples keyed by the cost leg's name.
-    """
-    greedy, cost = {}, {}
-    for row in rows:
-        name = row["benchmark"]
-        if "_Greedy" in name:
-            greedy[(row["artifact"], name.replace("_Greedy", "_Cost"))] = row
-        elif "_Cost" in name:
-            cost[(row["artifact"], name)] = row
-    pairs = []
-    for key in sorted(cost):
-        if key in greedy:
-            pairs.append((key[1], greedy[key], cost[key]))
-    return pairs
-
-
-def planner_ablation(rows):
-    """Computes the speedup table: one entry per greedy/cost pair."""
-    table = []
-    for name, grow, crow in planner_pairs(rows):
-        if not grow["real_time"] or not crow["real_time"]:
-            continue
-        speedup = grow["real_time"] / crow["real_time"]
-        table.append({
-            "artifact": crow["artifact"],
-            "benchmark": name,
-            "greedy_time": grow["real_time"],
-            "cost_time": crow["real_time"],
-            "time_unit": crow["time_unit"],
-            "speedup": speedup,
-            "regression": speedup < 1.0 / PLANNER_REGRESSION_TOLERANCE,
-        })
-    return table
-
-
 # Incremental-maintenance legs may be at most this much slower than
 # their recompute twins before the pair is flagged. (The real criterion
 # — EXPERIMENTS.md E14 asks for >= 10x — is read off quiet-box
@@ -311,21 +256,6 @@ def to_markdown(rows):
                 f" | {fmt_num(entry['simd_time'])} {unit}"
                 f" | {entry['speedup']:.2f}x | {flag} |")
         lines.append("")
-    planner = planner_ablation(rows)
-    if planner:
-        lines.append("## Planner ablation (greedy vs cost)")
-        lines.append("")
-        lines.append("| benchmark | greedy | cost | speedup | |")
-        lines.append("|---|---|---|---|---|")
-        for entry in planner:
-            unit = entry["time_unit"]
-            flag = "**REGRESSION**" if entry["regression"] else ""
-            lines.append(
-                f"| {entry['benchmark']}"
-                f" | {fmt_num(entry['greedy_time'])} {unit}"
-                f" | {fmt_num(entry['cost_time'])} {unit}"
-                f" | {entry['speedup']:.2f}x | {flag} |")
-        lines.append("")
     ivm = ivm_ablation(rows)
     if ivm:
         lines.append("## IVM ablation (incremental vs recompute)")
@@ -355,9 +285,6 @@ def main(argv):
     parser.add_argument("--fail-on-simd-regression", action="store_true",
                         help="exit non-zero if a vectorized leg is >5% "
                         "slower than its scalar twin")
-    parser.add_argument("--fail-on-planner-regression", action="store_true",
-                        help="exit non-zero if a cost-planner leg is >5% "
-                        "slower than its greedy twin")
     parser.add_argument("--fail-on-ivm-regression", action="store_true",
                         help="exit non-zero if an incremental-maintenance "
                         "leg is >5% slower than its recompute twin")
@@ -377,12 +304,10 @@ def main(argv):
     else:
         sys.stdout.write(md)
     ablation = simd_ablation(rows)
-    planner = planner_ablation(rows)
     ivm = ivm_ablation(rows)
     if args.out_json:
         with open(args.out_json, "w") as f:
             json.dump({"rows": rows, "simd_ablation": ablation,
-                       "planner_ablation": planner,
                        "ivm_ablation": ivm}, f,
                       indent=1, sort_keys=True)
             f.write("\n")
@@ -392,12 +317,6 @@ def main(argv):
               f"simd {entry['simd_time']:.3f} vs scalar "
               f"{entry['scalar_time']:.3f} {entry['time_unit']} "
               f"({entry['speedup']:.2f}x)", file=sys.stderr)
-    planner_regressions = [e for e in planner if e["regression"]]
-    for entry in planner_regressions:
-        print(f"bench_report: planner regression: {entry['benchmark']} "
-              f"cost {entry['cost_time']:.3f} vs greedy "
-              f"{entry['greedy_time']:.3f} {entry['time_unit']} "
-              f"({entry['speedup']:.2f}x)", file=sys.stderr)
     ivm_regressions = [e for e in ivm if e["regression"]]
     for entry in ivm_regressions:
         print(f"bench_report: IVM regression: {entry['benchmark']} "
@@ -406,14 +325,10 @@ def main(argv):
               f"({entry['speedup']:.2f}x)", file=sys.stderr)
     print(f"bench_report: {len(paths)} artifact(s), {len(rows)} row(s), "
           f"{len(ablation)} simd pair(s), {len(regressions)} regression(s), "
-          f"{len(planner)} planner pair(s), "
-          f"{len(planner_regressions)} planner regression(s), "
           f"{len(ivm)} ivm pair(s), "
           f"{len(ivm_regressions)} ivm regression(s)",
           file=sys.stderr)
     if regressions and args.fail_on_simd_regression:
-        return 1
-    if planner_regressions and args.fail_on_planner_regression:
         return 1
     if ivm_regressions and args.fail_on_ivm_regression:
         return 1
