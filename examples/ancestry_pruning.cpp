@@ -68,9 +68,11 @@ int main(int argc, char** argv) {
   };
   std::cout << "anc tuples: original=" << count(original_idb)
             << " optimized=" << count(optimized_idb) << " (must match)\n";
-  std::cout << "original:  " << before.ToString() << "  (" << t_original
+  std::cout << "original:  " << before.derived_tuples << " derived, "
+            << before.bindings_explored << " join bindings  (" << t_original
             << " ms)\n";
-  std::cout << "optimized: " << after.ToString() << "  (" << t_optimized
+  std::cout << "optimized: " << after.derived_tuples << " derived, "
+            << after.bindings_explored << " join bindings  (" << t_optimized
             << " ms)\n";
 
   // A typical query the pruning helps: ancestors that are young.

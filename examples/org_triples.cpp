@@ -53,7 +53,9 @@ int main(int argc, char** argv) {
   };
   std::cout << "triple tuples: original=" << count(*a)
             << " optimized=" << count(*b) << " (must match)\n";
-  std::cout << "original:  " << before.ToString() << "\n";
-  std::cout << "optimized: " << after.ToString() << "\n";
+  std::cout << "original:  " << before.derived_tuples << " derived, "
+            << before.bindings_explored << " join bindings\n";
+  std::cout << "optimized: " << after.derived_tuples << " derived, "
+            << after.bindings_explored << " join bindings\n";
   return 0;
 }

@@ -86,7 +86,9 @@ int main() {
             << answers->ToString() << "\n";
 
   std::cout << "=== Work comparison ===\n"
-            << "original:  " << before.ToString() << "\n"
-            << "optimized: " << after.ToString() << "\n";
+            << "original:  " << before.derived_tuples << " derived, "
+            << before.bindings_explored << " join bindings\n"
+            << "optimized: " << after.derived_tuples << " derived, "
+            << after.bindings_explored << " join bindings\n";
   return 0;
 }

@@ -70,8 +70,10 @@ int main(int argc, char** argv) {
   std::cout << "eval_support tuples: original="
             << count(*a, "eval_support", 4)
             << " optimized=" << count(*b, "eval_support", 4) << "\n\n";
-  std::cout << "work original:  " << before.ToString() << "\n";
-  std::cout << "work optimized: " << after.ToString() << "\n";
+  std::cout << "work original:  " << before.derived_tuples << " derived, "
+            << before.bindings_explored << " join bindings\n";
+  std::cout << "work optimized: " << after.derived_tuples << " derived, "
+            << after.bindings_explored << " join bindings\n";
   double speedup = before.bindings_explored > 0
                        ? static_cast<double>(before.bindings_explored) /
                              static_cast<double>(after.bindings_explored)

@@ -244,20 +244,9 @@ std::string ExplainAnalyze(const Program& program, const Database& edb,
     }
   }
 
-  if (!stats.rounds.empty()) {
-    os << "rounds (stratum/round: time, delta in -> out, derived):\n";
-    for (const RoundTiming& rt : stats.rounds) {
-      os << "  s" << rt.stratum << "/r" << rt.round << ": " << rt.ns / 1000
-         << " us, " << rt.delta_in << " -> " << rt.delta_out << ", derived "
-         << rt.derived << "\n";
-    }
-  }
-  os << "totals: " << stats.iterations << " round(s), " << stats.derived_tuples
-     << " derived, " << stats.duplicate_tuples << " duplicate(s), plan cache "
-     << stats.plan_cache_hits << " hit(s) / " << stats.plan_cache_misses
-     << " miss(es), peak delta " << stats.peak_delta_tuples << ", eval "
-     << stats.eval_ns / 1000 << " us";
-  return os.str();
+  std::string out = os.str();
+  if (!out.empty() && out.back() == '\n') out.pop_back();
+  return out;
 }
 
 }  // namespace semopt

@@ -50,8 +50,8 @@ Result<ProofNode> ExplainFromScratch(const Program& program,
 /// evaluation's first rounds use) annotated with what actually happened
 /// — per-rule applications/derived/duplicates/time from
 /// `stats.per_rule` (present when the evaluation ran with
-/// EvalOptions::collect_metrics), the per-round timeline from
-/// `stats.rounds`, and a totals footer. `stats` must come from
+/// EvalOptions::collect_metrics). The totals and rounds of the same
+/// evaluation are QueryProfile::Render's. `stats` must come from
 /// evaluating `program` over `edb` (the server's `:profile` re-runs the
 /// query with collect_metrics to produce it).
 std::string ExplainAnalyze(const Program& program, const Database& edb,

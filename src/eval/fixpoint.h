@@ -5,19 +5,13 @@
 #include <string>
 
 #include "ast/program.h"
-#include "eval/eval_stats.h"
+#include "obs/eval_stats.h"
 #include "storage/database.h"
 #include "util/result.h"
 
 namespace semopt {
 
 class PlanCacheInterface;
-
-/// Evaluation strategy for the bottom-up fixpoint.
-enum class EvalStrategy {
-  kSemiNaive,  // delta-driven (default)
-  kNaive,      // re-derive everything each round (baseline)
-};
 
 /// Whether the batched executor may use the vectorized (selection-
 /// vector + SIMD kernel) paths. The derived relations, counters and
@@ -31,7 +25,6 @@ enum class SimdMode {
 };
 
 struct EvalOptions {
-  EvalStrategy strategy = EvalStrategy::kSemiNaive;
   /// Safety valve for buggy workloads; 0 = unlimited.
   size_t max_iterations = 0;
   /// Frame/head block size of the batched (block-at-a-time) rule
@@ -69,7 +62,8 @@ struct EvalOptions {
   /// timings, per-round worker balance). Off by default: the fast path
   /// only bumps the scalar totals. Per-round timings (EvalStats::rounds)
   /// are NOT gated on this — they cost two clock reads per round and
-  /// feed the always-on query log.
+  /// feed the always-on query log. `:profile` turns it on for the
+  /// query it re-runs.
   bool collect_metrics = false;
   /// Wall-clock budget for the whole evaluation, microseconds; checked
   /// at round granularity (a round in flight finishes), so enforcement
@@ -119,7 +113,7 @@ bool ResolveSimdMode(SimdMode mode);
 /// Computes the least fixpoint of `program` over `edb` bottom-up and
 /// returns the IDB relations. Components of the predicate dependency
 /// graph are evaluated in topological order; recursion within a
-/// component uses the selected strategy. Negated relational literals
+/// component runs semi-naive delta rounds. Negated relational literals
 /// must be stratified (predicates from strictly lower components);
 /// otherwise an error is returned.
 Result<Database> Evaluate(const Program& program, const Database& edb,

@@ -11,7 +11,7 @@
 
 #include "ast/program.h"
 #include "eval/component_plan.h"
-#include "eval/eval_stats.h"
+#include "obs/eval_stats.h"
 #include "eval/fixpoint.h"
 #include "eval/plan_cache.h"
 #include "obs/metrics.h"

@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "eval/eval_stats.h"
+#include "obs/eval_stats.h"
 #include "eval/rule_executor.h"
 #include "util/result.h"
 

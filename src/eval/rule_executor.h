@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "ast/rule.h"
-#include "eval/eval_stats.h"
+#include "obs/eval_stats.h"
 #include "storage/database.h"
 #include "storage/relation.h"
 #include "util/result.h"

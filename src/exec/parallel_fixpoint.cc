@@ -169,15 +169,15 @@ std::string ExecRuleKey(const Execution& exec) {
 /// and stream them through the batched executor into per-(lane,
 /// execution) hashed sinks, then merges the sinks into `idb` (and
 /// `next_delta` if given) with one owner per head relation reusing the
-/// worker hashes. Returns true when any new tuple was inserted. `round`
-/// is the 1-based global round index (trace/stats labeling).
+/// worker hashes. `round` is the 1-based global round index
+/// (trace/stats labeling).
 ///
 /// One lane is the degenerate case: plans are prepared unpartitioned
 /// and every execution is one unrestricted task. Carving only pays when
 /// there is another lane to hand a morsel to; a partitioned plan forces
 /// the delta to the front of the join order, which at one lane can cost
 /// more bindings than the order the planner prefers.
-Result<bool> RunRound(
+Status RunRound(
     Engine& engine, std::vector<Execution>& execs,
     std::map<PredicateId, std::unique_ptr<Relation>>* next_delta,
     size_t round, size_t stratum, size_t delta_in) {
@@ -265,7 +265,7 @@ Result<bool> RunRound(
   }
   if (morsels.empty()) {
     record_round(0, 0);
-    return false;
+    return Status::Ok();
   }
   const size_t total_morsels = morsels.size();
 
@@ -293,7 +293,6 @@ Result<bool> RunRound(
     }
   }
 
-  bool changed = false;
   size_t round_derived = 0;
   {
     InternerFreezeGuard freeze;
@@ -388,7 +387,6 @@ Result<bool> RunRound(
           return Status::Ok();
         }));
     for (size_t e = 0; e < execs.size(); ++e) {
-      if (exec_inserted[e] > 0) changed = true;
       round_derived += exec_inserted[e];
     }
 
@@ -449,7 +447,7 @@ Result<bool> RunRound(
   round_span.AddArg("delta_out", static_cast<int64_t>(delta_out));
   round_span.AddArg("derived", static_cast<int64_t>(round_derived));
   record_round(delta_out, round_derived);
-  return changed;
+  return Status::Ok();
 }
 
 /// Round-granularity safety valves: iteration cap and wall-clock
@@ -527,30 +525,9 @@ Result<Database> EvaluateMorsels(const Program& program, const Database& edb,
       if (stats != nullptr) ++stats->iterations;
       ++global_round;
       std::vector<Execution> execs = all_rules();
-      Result<bool> pass =
+      SEMOPT_RETURN_IF_ERROR(
           RunRound(engine, execs, /*next_delta=*/nullptr, global_round,
-                   static_cast<size_t>(component_index), /*delta_in=*/0);
-      if (!pass.ok()) return pass.status();
-      continue;
-    }
-
-    if (options.strategy == EvalStrategy::kNaive) {
-      // Jacobi-style naive rounds: every rule re-runs against the state
-      // frozen at the top of the round, until nothing new appears.
-      size_t local_iterations = 0;
-      bool changed = true;
-      while (changed) {
-        ++local_iterations;
-        if (stats != nullptr) ++stats->iterations;
-        ++global_round;
-        SEMOPT_RETURN_IF_ERROR(
-            CheckRoundBudgets(local_iterations, eval_start_ns, options));
-        std::vector<Execution> execs = all_rules();
-        SEMOPT_ASSIGN_OR_RETURN(
-            changed,
-            RunRound(engine, execs, /*next_delta=*/nullptr, global_round,
-                     static_cast<size_t>(component_index), /*delta_in=*/0));
-      }
+                   static_cast<size_t>(component_index), /*delta_in=*/0));
       continue;
     }
 
@@ -569,10 +546,9 @@ Result<Database> EvaluateMorsels(const Program& program, const Database& edb,
     ++global_round;
     {
       std::vector<Execution> execs = all_rules();
-      Result<bool> seeded =
+      SEMOPT_RETURN_IF_ERROR(
           RunRound(engine, execs, &delta, global_round,
-                   static_cast<size_t>(component_index), /*delta_in=*/0);
-      if (!seeded.ok()) return seeded.status();
+                   static_cast<size_t>(component_index), /*delta_in=*/0));
     }
 
     size_t local_iterations = 1;
@@ -603,10 +579,9 @@ Result<Database> EvaluateMorsels(const Program& program, const Database& edb,
           execs.push_back(std::move(e));
         }
       }
-      Result<bool> round =
+      SEMOPT_RETURN_IF_ERROR(
           RunRound(engine, execs, &next_delta, global_round,
-                   static_cast<size_t>(component_index), pending);
-      if (!round.ok()) return round.status();
+                   static_cast<size_t>(component_index), pending));
       // Arena double-buffer: Clear keeps capacity, swap moves pointers;
       // steady-state rounds recycle delta storage without reallocating.
       for (const PredicateId& p : component.preds) {

@@ -4,7 +4,7 @@
 #include <cstddef>
 
 #include "ast/program.h"
-#include "eval/eval_stats.h"
+#include "obs/eval_stats.h"
 #include "eval/fixpoint.h"
 #include "storage/database.h"
 #include "util/result.h"

@@ -2,7 +2,7 @@
 #define SEMOPT_MAGIC_MAGIC_SETS_H_
 
 #include "ast/program.h"
-#include "eval/eval_stats.h"
+#include "obs/eval_stats.h"
 #include "eval/fixpoint.h"
 #include "magic/adornment.h"
 #include "storage/database.h"

@@ -98,8 +98,8 @@ uint64_t NextSessionId() {
 
 std::string QueryProfile::ToJson() const {
   std::string out;
-  out.reserve(512 + query.size() + error.size() + rounds.size() * 96 +
-              rules.size() * 144);
+  out.reserve(512 + query.size() + error.size() + eval.rounds.size() * 96 +
+              eval.per_rule.size() * 144);
   out += '{';
   bool first = true;
   AppendKeyU64(&out, "qid", ctx.query_id, &first);
@@ -127,48 +127,47 @@ std::string QueryProfile::ToJson() const {
   AppendKeyU64(&out, "queue_wait_us", queue_wait_us, &first);
   AppendKeyU64(&out, "pin_us", pin_us, &first);
   AppendKeyU64(&out, "eval_us", eval_us, &first);
-  AppendKeyU64(&out, "fixpoint_us", fixpoint_us, &first);
+  AppendKeyU64(&out, "fixpoint_us", eval.eval_ns / 1000, &first);
   AppendKeyU64(&out, "render_us", render_us, &first);
   AppendKeyU64(&out, "pinned_epoch", pinned_epoch, &first);
   if (ctx.budget_us != 0) {
     AppendKeyU64(&out, "budget_us", ctx.budget_us, &first);
   }
-  AppendKeyU64(&out, "plan_cache_hits", plan_cache_hits, &first);
-  AppendKeyU64(&out, "plan_cache_misses", plan_cache_misses, &first);
-  AppendKeyU64(&out, "iterations", iterations, &first);
-  AppendKeyU64(&out, "derived", derived, &first);
-  AppendKeyU64(&out, "duplicates", duplicates, &first);
-  AppendKeyU64(&out, "bindings", bindings, &first);
-  AppendKeyU64(&out, "batches", batches, &first);
-  AppendKeyU64(&out, "morsels", morsels, &first);
-  AppendKeyU64(&out, "peak_delta", peak_delta, &first);
+  AppendKeyU64(&out, "plan_cache_hits", eval.plan_cache_hits, &first);
+  AppendKeyU64(&out, "plan_cache_misses", eval.plan_cache_misses, &first);
+  AppendKeyU64(&out, "iterations", eval.iterations, &first);
+  AppendKeyU64(&out, "derived", eval.derived_tuples, &first);
+  AppendKeyU64(&out, "duplicates", eval.duplicate_tuples, &first);
+  AppendKeyU64(&out, "bindings", eval.bindings_explored, &first);
+  AppendKeyU64(&out, "batches", eval.batches, &first);
+  AppendKeyU64(&out, "morsels", eval.morsels, &first);
+  AppendKeyU64(&out, "peak_delta", eval.peak_delta_tuples, &first);
   out += ",\"rounds\":[";
-  for (size_t i = 0; i < rounds.size(); ++i) {
-    const Round& r = rounds[i];
+  for (size_t i = 0; i < eval.rounds.size(); ++i) {
+    const RoundTiming& r = eval.rounds[i];
     if (i > 0) out += ",";
     out += "{";
     bool rf = true;
     AppendKeyU64(&out, "stratum", r.stratum, &rf);
     AppendKeyU64(&out, "round", r.round, &rf);
-    AppendKeyU64(&out, "us", r.us, &rf);
+    AppendKeyU64(&out, "us", r.ns / 1000, &rf);
     AppendKeyU64(&out, "delta_in", r.delta_in, &rf);
     AppendKeyU64(&out, "delta_out", r.delta_out, &rf);
     AppendKeyU64(&out, "derived", r.derived, &rf);
     out += "}";
   }
   out += "]";
-  if (!rules.empty()) {
+  if (!eval.per_rule.empty()) {
     out += ",\"rules\":[";
-    for (size_t i = 0; i < rules.size(); ++i) {
-      const Rule& r = rules[i];
-      if (i > 0) out += ",";
+    for (const auto& [label, r] : eval.per_rule) {
+      if (out.back() != '[') out += ",";
       out += "{";
       bool rf = true;
-      AppendKeyStr(&out, "label", r.label, &rf);
+      AppendKeyStr(&out, "label", label, &rf);
       AppendKeyU64(&out, "applications", r.applications, &rf);
       AppendKeyU64(&out, "derived", r.derived, &rf);
       AppendKeyU64(&out, "duplicates", r.duplicates, &rf);
-      AppendKeyU64(&out, "us", r.us, &rf);
+      AppendKeyU64(&out, "us", r.exec_ns / 1000, &rf);
       out += "}";
     }
     out += "]";
@@ -207,21 +206,43 @@ std::string QueryProfile::Render() const {
                    " + render %" PRIu64 "\n",
              total_us, parse_us, queue_wait_us, pin_us, eval_us, render_us);
   AppendLine(&out, "  fixpoint %" PRIu64 " us, pinned epoch %" PRIu64 "\n",
-             fixpoint_us, pinned_epoch);
+             eval.eval_ns / 1000, pinned_epoch);
   AppendLine(&out,
-             "  plan cache: %" PRIu64 " hits / %" PRIu64
-             " misses; iterations %" PRIu64 ", derived %" PRIu64
-             ", duplicates %" PRIu64 ", peak delta %" PRIu64 "\n",
-             plan_cache_hits, plan_cache_misses, iterations, derived,
-             duplicates, peak_delta);
-  if (!rounds.empty()) {
+             "  plan cache: %zu hits / %zu misses; iterations %zu, derived "
+             "%zu, duplicates %zu, peak delta %zu\n",
+             eval.plan_cache_hits, eval.plan_cache_misses, eval.iterations,
+             eval.derived_tuples, eval.duplicate_tuples,
+             eval.peak_delta_tuples);
+  AppendLine(&out,
+             "  work: rule applications %zu, bindings %zu, comparisons %zu, "
+             "residue checks %zu, batches %zu, morsels %zu, steals %zu\n",
+             eval.rule_applications, eval.bindings_explored,
+             eval.comparison_checks, eval.runtime_residue_checks,
+             eval.batches, eval.morsels, eval.morsel_steals);
+  if (!eval.rounds.empty()) {
     out += "  rounds (stratum/round: time, delta in -> out, derived):\n";
-    for (const Round& r : rounds) {
+    for (const RoundTiming& r : eval.rounds) {
       AppendLine(&out,
-                 "    s%" PRIu64 "/r%" PRIu64 ": %" PRIu64 " us, %" PRIu64
-                 " -> %" PRIu64 ", derived %" PRIu64 "\n",
-                 r.stratum, r.round, r.us, r.delta_in, r.delta_out, r.derived);
+                 "    s%zu/r%zu: %" PRIu64 " us, %zu -> %zu, derived %zu\n",
+                 r.stratum, r.round, r.ns / 1000, r.delta_in, r.delta_out,
+                 r.derived);
     }
+  }
+  // One lane has nothing to balance; its row would repeat the round.
+  bool balance_header = false;
+  for (const RoundBalance& b : eval.round_balance) {
+    if (b.workers < 2) continue;
+    if (!balance_header) {
+      out += "  balance (round: lanes, tuples min/max/mean, morsels "
+             "min/max/total):\n";
+      balance_header = true;
+    }
+    AppendLine(&out,
+               "    r%zu: %zu lanes, tuples %zu/%zu/%.1f, morsels "
+               "%zu/%zu/%zu\n",
+               b.round, b.workers, b.min_tuples, b.max_tuples,
+               b.MeanTuples(), b.min_morsels, b.max_morsels,
+               b.total_morsels);
   }
   return out;
 }

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/eval_stats.h"
 #include "util/result.h"
 
 namespace semopt {
@@ -31,15 +32,12 @@ uint64_t NextQueryId();
 /// Next process-monotonic session id (starts at 1).
 uint64_t NextSessionId();
 
-/// The latency breakdown of one query — where its time went (queue,
-/// snapshot pin, evaluation, per fixpoint round) and what the engine
-/// did (plan cache traffic, tuples derived, peak delta). Accumulated by
+/// The record of one query: where its time went (queue, snapshot pin,
+/// evaluation, render) and, in `eval`, what the engine did (plan cache
+/// traffic, tuples derived, peak delta, one entry per fixpoint round,
+/// per-rule and per-lane breakdowns when collected). Accumulated by
 /// SessionCommandProcessor for every `?-` query; serialized as one
 /// JSON line into the query log and rendered by `:profile`.
-///
-/// The structs here are intentionally independent of EvalStats (the
-/// obs layer sits below eval); the session copies the engine counters
-/// across.
 struct QueryProfile {
   QueryContext ctx;
   /// The query body text as executed.
@@ -59,58 +57,28 @@ struct QueryProfile {
   uint64_t answers = 0;
 
   // Phase breakdown, microseconds. total covers parse through render;
-  // eval is the whole AnswerQuery call (planning included), fixpoint
-  // the engine-reported fixpoint time inside it.
+  // eval is the whole query-path call (planning included). The
+  // engine-reported fixpoint time inside it is eval.eval_ns.
   uint64_t total_us = 0;
   uint64_t parse_us = 0;
   uint64_t queue_wait_us = 0;
   uint64_t pin_us = 0;
   uint64_t eval_us = 0;
-  uint64_t fixpoint_us = 0;
   uint64_t render_us = 0;
 
   /// The database generation the query read (0 = unmanaged local db).
   uint64_t pinned_epoch = 0;
 
-  // Engine counters (copied from EvalStats).
-  uint64_t plan_cache_hits = 0;
-  uint64_t plan_cache_misses = 0;
-  uint64_t iterations = 0;
-  uint64_t derived = 0;
-  uint64_t duplicates = 0;
-  uint64_t bindings = 0;
-  uint64_t batches = 0;
-  uint64_t morsels = 0;
-  /// Largest per-round delta (tuples) the fixpoint carried.
-  uint64_t peak_delta = 0;
-
-  /// One entry per fixpoint round, in execution order.
-  struct Round {
-    uint64_t stratum = 0;
-    uint64_t round = 0;  ///< 1-based global round index
-    uint64_t us = 0;
-    uint64_t delta_in = 0;
-    uint64_t delta_out = 0;
-    uint64_t derived = 0;
-  };
-  std::vector<Round> rounds;
-
-  /// Per-rule attribution (populated only when the evaluation ran with
-  /// collect_metrics, e.g. under `:profile`).
-  struct Rule {
-    std::string label;
-    uint64_t applications = 0;
-    uint64_t derived = 0;
-    uint64_t duplicates = 0;
-    uint64_t us = 0;
-  };
-  std::vector<Rule> rules;
+  /// The engine's counters for this query, moved in by the session.
+  EvalStats eval;
 
   /// One-line JSON record (no trailing newline); the query-log line
   /// format. Keys are stable — tools and CI validators parse them.
   std::string ToJson() const;
 
-  /// Multi-line human-readable breakdown (the `:profile` header).
+  /// Multi-line human-readable rendering of the whole record: phases,
+  /// path, every engine counter, the rounds, and the per-lane balance
+  /// when more than one lane ran (the `:profile` header).
   std::string Render() const;
 };
 

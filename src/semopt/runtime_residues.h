@@ -2,7 +2,7 @@
 #define SEMOPT_SEMOPT_RUNTIME_RESIDUES_H_
 
 #include "ast/program.h"
-#include "eval/eval_stats.h"
+#include "obs/eval_stats.h"
 #include "storage/database.h"
 #include "util/result.h"
 

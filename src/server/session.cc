@@ -16,7 +16,6 @@
 #include "exec/parallel_fixpoint.h"
 #include "io/binary_io.h"
 #include "io/fact_io.h"
-#include "magic/magic_sets.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/query_log.h"
@@ -55,41 +54,6 @@ uint64_t NowNs() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-/// Copies the engine counters of one evaluation into a query profile
-/// (EvalStats lives in the eval layer, QueryProfile in obs; the session
-/// is where both are in scope).
-void FillProfileFromStats(const EvalStats& stats, obs::QueryProfile* p) {
-  p->fixpoint_us = stats.eval_ns / 1000;
-  p->plan_cache_hits = stats.plan_cache_hits;
-  p->plan_cache_misses = stats.plan_cache_misses;
-  p->iterations = stats.iterations;
-  p->derived = stats.derived_tuples;
-  p->duplicates = stats.duplicate_tuples;
-  p->bindings = stats.bindings_explored;
-  p->batches = stats.batches;
-  p->morsels = stats.morsels;
-  p->peak_delta = stats.peak_delta_tuples;
-  for (const RoundTiming& rt : stats.rounds) {
-    obs::QueryProfile::Round round;
-    round.stratum = rt.stratum;
-    round.round = rt.round;
-    round.us = rt.ns / 1000;
-    round.delta_in = rt.delta_in;
-    round.delta_out = rt.delta_out;
-    round.derived = rt.derived;
-    p->rounds.push_back(round);
-  }
-  for (const auto& [label, rs] : stats.per_rule) {
-    obs::QueryProfile::Rule rule;
-    rule.label = label;
-    rule.applications = rs.applications;
-    rule.derived = rs.derived;
-    rule.duplicates = rs.duplicates;
-    rule.us = rs.exec_ns / 1000;
-    p->rules.push_back(rule);
-  }
 }
 
 }  // namespace
@@ -332,12 +296,10 @@ std::string SessionCommandProcessor::RunQueryProfiled(
       RunQueryPlan(*plan, snap.db(), query_options, &stats);
   last_plan_ = std::move(*plan);
   profile.eval_us = (NowNs() - t_eval) / 1000;
-  FillProfileFromStats(stats, &profile);
   // Fold into the process-wide registry so `:stats` aggregates across
   // queries and sessions (per-query cost: a handful of atomic adds).
   stats.PublishTo(obs::MetricsRegistry::Global());
-  last_stats_ = stats;
-  have_last_stats_ = true;
+  profile.eval = std::move(stats);
   if (!result.ok()) {
     profile.ok = false;
     profile.error = result.status().ToString();
@@ -352,7 +314,6 @@ std::string SessionCommandProcessor::RunQueryProfiled(
   } else {
     os << result->ToString() << result->size() << " answer(s)";
   }
-  if (show_stats_) os << "\n[" << stats.ToString() << "]";
   profile.render_us = (NowNs() - t_render) / 1000;
   return finish(os.str());
 }
@@ -379,18 +340,10 @@ std::string SessionCommandProcessor::HandleCommand(std::string_view line) {
     }
     return CmdExplain(line.substr(offset + 1));
   }
-  if (cmd == ".magic") {
-    size_t offset = line.find(' ');
-    if (offset == std::string_view::npos) {
-      return "usage: .magic pred(arg, ...)";
-    }
-    return CmdMagic(line.substr(offset + 1));
-  }
   if (cmd == ".materialize") return CmdMaterialize(args);
   if (cmd == ".threads" || cmd == ":threads") return CmdThreads(args);
   if (cmd == ".plan" || cmd == ":plan") return CmdPlan(args);
   if (cmd == ".trace" || cmd == ":trace") return CmdTrace(args);
-  if (cmd == ".metrics" || cmd == ":metrics") return CmdMetrics(args);
   if (cmd == ".profile" || cmd == ":profile") {
     size_t offset = line.find(' ');
     return CmdProfile(offset == std::string_view::npos
@@ -408,10 +361,6 @@ std::string SessionCommandProcessor::HandleCommand(std::string_view line) {
   // its historical meaning of sourcing a text program file.
   if (cmd == ":load") return CmdLoadBinary(args);
   if (cmd == ".simd" || cmd == ":simd") return CmdSimd(args);
-  if (cmd == ".stats") {
-    show_stats_ = args.empty() || args[0] != "off";
-    return StrCat("stats ", show_stats_ ? "on" : "off");
-  }
   if (cmd == ".reset") {
     program_ = Program();
     host_->Dematerialize();
@@ -437,7 +386,6 @@ commands:
   .optimize [flat]         run the semantic optimizer (flat: no chain factoring)
   .residues                show the residues of all constraints
   .check                   check the facts against the constraints
-  .magic pred(args)        answer a (possibly bound) query via magic sets
   .explain pred(consts)    show a proof tree for a derived fact
   ~ pred(consts).          retract a fact (a maintained view updates its
                            IDB incrementally in the same write)
@@ -449,19 +397,17 @@ commands:
   .loadtsv PRED FILE       load tab-separated tuples into PRED
   :dump FILE               save every relation as a binary snapshot
   :load FILE               bulk-load a binary snapshot (made by :dump)
-  .stats [on|off]          show evaluation statistics with query answers
   :threads [N]             evaluate with N lanes (default 1, 0 = auto)
   :simd [on|off|auto]      vectorized executor kernels (auto = detect)
   :plan PRED[/ARITY]       show the join plan of every rule deriving PRED
                            (est~ = the planner's estimated rows per step)
   :trace FILE|on|off       record spans; on stop, write Chrome trace JSON
                            (open in chrome://tracing or ui.perfetto.dev)
-  :metrics [on|off]        collect per-rule/per-round metrics; no args:
-                           print the report for the last evaluation
   :profile [QUERY]         re-run the last (or given) query with full
-                           metrics; show the latency breakdown and the
-                           annotated per-rule plans (EXPLAIN ANALYZE)
-  :stats                   dump all metrics (Prometheus text format)
+                           metrics; show its record (path, latency
+                           breakdown, counters, rounds, lane balance) and
+                           the annotated per-rule plans (EXPLAIN ANALYZE)
+  :stats                   dump the process totals (Prometheus text format)
   :qlog [FILE|off]         session-private structured query log (JSONL)
   :slowlog [N|off]         mirror queries >= N us into the slow log
   :budget [N|off]          per-query wall-clock budget in microseconds
@@ -586,38 +532,6 @@ std::string SessionCommandProcessor::CmdCheck() {
   std::string out = os.str();
   out.pop_back();
   return out;
-}
-
-std::string SessionCommandProcessor::CmdMagic(std::string_view rest) {
-  std::string source{Trim(rest)};
-  if (!source.empty() && source.back() == '.') source.pop_back();
-  Result<Atom> query = ParseAtom(source);
-  if (!query.ok()) return query.status().ToString();
-
-  // Magic answering of an IDB goal runs a (rewritten) fixpoint: heavy.
-  // An EDB goal degenerates to a lookup: light.
-  SessionScheduler::Ticket ticket;
-  if (host_->scheduler() != nullptr) {
-    const QueryClass cls = program_.IdbPredicates().count(query->pred_id()) > 0
-                               ? QueryClass::kHeavy
-                               : QueryClass::kLight;
-    ticket = host_->scheduler()->Admit(cls);
-  }
-  DatabaseSnapshot snap = host_->Snapshot();
-
-  EvalStats stats;
-  Result<std::vector<Tuple>> answers = AnswerWithMagic(
-      program_, snap.db(), *query, &stats, MagicOptions(), eval_options_);
-  if (!answers.ok()) return answers.status().ToString();
-  last_stats_ = stats;
-  have_last_stats_ = true;
-  std::ostringstream os;
-  for (const Tuple& t : *answers) {
-    os << query->predicate_name() << TupleToString(t) << "\n";
-  }
-  os << answers->size() << " answer(s)";
-  if (show_stats_) os << "\n[" << stats.ToString() << "]";
-  return os.str();
 }
 
 std::string SessionCommandProcessor::CmdExplain(std::string_view rest) {
@@ -745,49 +659,6 @@ std::string SessionCommandProcessor::CmdTrace(
                 "; stop with :trace off)");
 }
 
-std::string SessionCommandProcessor::CmdMetrics(
-    const std::vector<std::string>& args) {
-  if (!args.empty()) {
-    if (args[0] == "on") {
-      eval_options_.collect_metrics = true;
-      return "metrics on (per-rule/per-round collection)";
-    }
-    if (args[0] == "off") {
-      eval_options_.collect_metrics = false;
-      return "metrics off";
-    }
-    return "usage: :metrics [on|off]";
-  }
-  if (!eval_options_.collect_metrics) {
-    return "metrics collection is off (enable with :metrics on)";
-  }
-  if (!have_last_stats_) {
-    return "no evaluation yet (run a query first)";
-  }
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  storage_metrics::PublishTo(registry);
-  std::string out = StrCat(
-      last_stats_.Report(),
-      "\nstorage: tuples_bytes=", storage_metrics::LiveTupleBytes(),
-      " columns_bytes=", storage_metrics::LiveColumnsBytes(),
-      " rehashes=", storage_metrics::TotalRehashes(),
-      "\nio: bulk_load_rows=", registry.GetCounter("io.bulk_load.rows").value(),
-      " bulk_load_bytes=", registry.GetCounter("io.bulk_load.bytes").value(),
-      " bulk_load_us=", registry.GetCounter("io.bulk_load.us").value());
-  if (registry.GetCounter("eval.ivm.batches").value() > 0) {
-    out = StrCat(
-        out, "\nivm: batches=", registry.GetCounter("eval.ivm.batches").value(),
-        " overdeleted=", registry.GetCounter("eval.ivm.overdeleted").value(),
-        " rederived=", registry.GetCounter("eval.ivm.rederived").value(),
-        " recounted=", registry.GetCounter("eval.ivm.recounted").value(),
-        " net_deleted=", registry.GetCounter("eval.ivm.net_deleted").value(),
-        " net_inserted=", registry.GetCounter("eval.ivm.net_inserted").value(),
-        " maintenance_us=",
-        registry.GetCounter("eval.ivm.maintenance_us").value());
-  }
-  return out;
-}
-
 std::string SessionCommandProcessor::CmdProfile(std::string_view rest) {
   std::string query{Trim(rest)};
   if (query.empty()) {
@@ -809,7 +680,8 @@ std::string SessionCommandProcessor::CmdProfile(std::string_view rest) {
   // stats), over the database they read.
   DatabaseSnapshot snap = host_->Snapshot();
   os << ExplainAnalyze(last_plan_.program,
-                       QueryPlanDatabase(last_plan_, snap.db()), last_stats_);
+                       QueryPlanDatabase(last_plan_, snap.db()),
+                       last_profile_.eval);
   return os.str();
 }
 

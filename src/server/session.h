@@ -108,7 +108,7 @@ class DatabaseHost {
 /// One session's command interpreter: the parse/dispatch/format logic
 /// behind both the interactive shell and every server connection.
 /// Holds the session-private state — the rule program, evaluation
-/// options, last stats — and reaches shared state (database, plan
+/// options, the last query's profile — and reaches shared state (database, plan
 /// cache, scheduler) only through the DatabaseHost.
 ///
 /// Input forms (one per Execute call):
@@ -170,7 +170,6 @@ class SessionCommandProcessor {
   std::string CmdOptimize(const std::vector<std::string>& args);
   std::string CmdResidues() const;
   std::string CmdCheck();
-  std::string CmdMagic(std::string_view rest);
   std::string CmdExplain(std::string_view rest);
   std::string CmdLoad(const std::vector<std::string>& args);
   std::string CmdLoadTsv(const std::vector<std::string>& args);
@@ -181,7 +180,6 @@ class SessionCommandProcessor {
 
   std::string CmdThreads(const std::vector<std::string>& args);
   std::string CmdTrace(const std::vector<std::string>& args);
-  std::string CmdMetrics(const std::vector<std::string>& args);
   std::string CmdPlan(const std::vector<std::string>& args);
   std::string CmdProfile(std::string_view rest);
   std::string CmdStats();
@@ -191,15 +189,12 @@ class SessionCommandProcessor {
 
   DatabaseHost* host_;
   Program program_;
-  /// Options applied to every query evaluation (`:threads`, `:metrics`
-  /// edit it); plan_cache points at host_->plan_cache().
+  /// Options applied to every query evaluation (`:threads`, `:simd`,
+  /// `:budget`, `:slowlog` edit it); plan_cache points at
+  /// host_->plan_cache().
   EvalOptions eval_options_;
   /// Destination of the running `:trace` session ("" = no session).
   std::string trace_path_;
-  /// Stats of the most recent evaluation, shown by `:metrics`.
-  EvalStats last_stats_;
-  bool have_last_stats_ = false;
-  bool show_stats_ = false;
   bool done_ = false;
 
   /// Process-unique session id, stamped into every query's profile.

@@ -31,8 +31,9 @@ namespace semopt {
 ///   .command [args]          session commands (see `.help`)
 ///   :threads N               evaluate queries with N worker lanes
 ///   :trace FILE / :trace off start/stop a Chrome trace_event session
-///   :metrics [on|off]        per-rule metrics collection + report
 ///   :plan PRED               show each PRED rule's join plan
+///   :profile [QUERY]         re-run a query; show its record and plans
+///   :stats                   process totals (Prometheus text format)
 class Shell {
  public:
   Shell() : host_(), processor_(&host_) {}
@@ -74,8 +75,8 @@ class Shell {
     Database db;
     /// Session plan cache, borrowed by every evaluation: re-running a
     /// query re-traverses an already-seen cardinality-band trajectory,
-    /// so steady-state runs hit every round (`:metrics` shows
-    /// eval.plan_cache.hit/miss).
+    /// so steady-state runs hit every round (`:profile` shows the plan
+    /// cache hits/misses).
     PlanCache cache;
   };
 

@@ -5,6 +5,7 @@
 #include "eval/fixpoint.h"
 #include "eval/rule_executor.h"
 #include "magic/magic_sets.h"
+#include "obs/query_log.h"
 #include "semopt/expansion.h"
 #include "semopt/runtime_residues.h"
 #include "util/string_util.h"
@@ -170,7 +171,7 @@ TEST(RuntimeResiduesTest, EliminationReducesJoinWorkOnChains) {
   edb.AddTuple("field", {Term::Sym("t"), Term::Sym("db")});
 
   EvalStats plain, runtime;
-  MustEvaluate(*p, edb, EvalStrategy::kSemiNaive, &plain);
+  MustEvaluate(*p, edb, &plain);
   Result<Database> rt = EvaluateWithRuntimeResidues(*p, edb, &runtime);
   ASSERT_TRUE(rt.ok());
   EXPECT_LT(runtime.bindings_explored, plain.bindings_explored);
@@ -209,12 +210,12 @@ TEST(WorkloadKnobsTest, DepartmentsPartitionCollaboration) {
 }
 
 TEST(RenderingTest, EvalStatsAndResidueToString) {
-  EvalStats stats;
-  stats.iterations = 3;
-  stats.derived_tuples = 7;
-  std::string s = stats.ToString();
-  EXPECT_NE(s.find("iterations=3"), std::string::npos);
-  EXPECT_NE(s.find("derived=7"), std::string::npos);
+  obs::QueryProfile profile;
+  profile.eval.iterations = 3;
+  profile.eval.derived_tuples = 7;
+  std::string s = profile.Render();
+  EXPECT_NE(s.find("iterations 3"), std::string::npos) << s;
+  EXPECT_NE(s.find("derived 7"), std::string::npos) << s;
 }
 
 TEST(EvaluationTest, ZeroAryPredicatesFlowThroughRules) {

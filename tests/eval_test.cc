@@ -772,7 +772,6 @@ TEST(BatchedFixpointTest, StatsFoldPlanCacheAndBatchCounters) {
   EXPECT_EQ(a.plan_cache_hits, 5u);
   EXPECT_EQ(a.plan_cache_misses, 1u);
   EXPECT_EQ(a.batches, 8u);
-  EXPECT_NE(a.Report().find("eval.plan_cache.hit=5"), std::string::npos);
 }
 
 TEST(FixpointTest, TransitiveClosure) {
@@ -804,27 +803,10 @@ TEST(FixpointTest, NaiveMatchesSemiNaive) {
     t(X, Y) :- t(X, Z), e(Z, Y).
   )");
   Database edb = MustParseFacts("e(a, b). e(b, c). e(c, a). e(c, d).");
-  Database naive = MustEvaluate(p, edb, EvalStrategy::kNaive);
-  Database semi = MustEvaluate(p, edb, EvalStrategy::kSemiNaive);
-  EXPECT_TRUE(naive.SameFactsAs(semi));
-}
-
-TEST(FixpointTest, SemiNaiveDoesLessRederivation) {
-  Program p = MustParse(R"(
-    t(X, Y) :- e(X, Y).
-    t(X, Y) :- t(X, Z), e(Z, Y).
-  )");
-  // A long chain maximizes the naive/semi-naive gap.
-  Database edb;
-  for (int i = 0; i < 30; ++i) {
-    edb.AddTuple("e", {Term::Sym("n" + std::to_string(i)),
-                       Term::Sym("n" + std::to_string(i + 1))});
-  }
-  EvalStats naive_stats, semi_stats;
-  MustEvaluate(p, edb, EvalStrategy::kNaive, &naive_stats);
-  MustEvaluate(p, edb, EvalStrategy::kSemiNaive, &semi_stats);
-  EXPECT_EQ(naive_stats.derived_tuples, semi_stats.derived_tuples);
-  EXPECT_GT(naive_stats.duplicate_tuples, semi_stats.duplicate_tuples);
+  Result<Database> naive = ReferenceEvaluate(p, edb);
+  ASSERT_TRUE(naive.ok()) << naive.status();
+  Database semi = MustEvaluate(p, edb);
+  EXPECT_TRUE(naive->SameFactsAs(semi));
 }
 
 TEST(FixpointTest, MultiPredicateStrata) {
@@ -884,7 +866,8 @@ TEST(FixpointTest, EmptyEdbYieldsEmptyIdb) {
   EXPECT_EQ(RelationSize(idb, "t", 2), 0u);
 }
 
-// Property: naive and semi-naive agree on random graphs.
+// Property: the engine's semi-naive rounds agree with the naive
+// reference evaluator on random graphs.
 class FixpointRandomGraph : public ::testing::TestWithParam<int> {};
 
 TEST_P(FixpointRandomGraph, NaiveEqualsSemiNaive) {
@@ -901,11 +884,12 @@ TEST_P(FixpointRandomGraph, NaiveEqualsSemiNaive) {
     s(X, Y) :- e(X, Y).
     s(X, Y) :- e(X, Z), s(Z, Y).
   )");
-  Database naive = MustEvaluate(p, edb, EvalStrategy::kNaive);
-  Database semi = MustEvaluate(p, edb, EvalStrategy::kSemiNaive);
-  EXPECT_TRUE(naive.SameFactsAs(semi));
+  Result<Database> naive = ReferenceEvaluate(p, edb);
+  ASSERT_TRUE(naive.ok()) << naive.status();
+  Database semi = MustEvaluate(p, edb);
+  EXPECT_TRUE(naive->SameFactsAs(semi));
   // Left- and right-linear transitive closure must agree.
-  EXPECT_EQ(RelationRows(naive, "t", 2), RelationRows(naive, "s", 2));
+  EXPECT_EQ(RelationRows(semi, "t", 2), RelationRows(semi, "s", 2));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FixpointRandomGraph,

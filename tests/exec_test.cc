@@ -110,9 +110,8 @@ TEST(ThreadPoolTest, ReusableAcrossManyRounds) {
 
 // ------------------------------------------ engine-vs-reference equivalence
 
-EvalOptions Opts(EvalStrategy strategy, size_t threads) {
+EvalOptions Opts(size_t threads) {
   EvalOptions options;
-  options.strategy = strategy;
   options.num_threads = threads;
   return options;
 }
@@ -177,7 +176,7 @@ TEST(ParallelEquivalenceTest, SelfJoinOnRecursivePredicate) {
       "edge(c, a).");
   ExpectMatchesReference(program, edb);
   // Spot-check the transitive closure itself.
-  Result<Database> idb = Evaluate(program, edb, Opts(EvalStrategy::kSemiNaive, 8));
+  Result<Database> idb = Evaluate(program, edb, Opts(8));
   ASSERT_TRUE(idb.ok());
   EXPECT_FALSE(RelationRows(*idb, "path", 2).empty());
 }
@@ -185,8 +184,8 @@ TEST(ParallelEquivalenceTest, SelfJoinOnRecursivePredicate) {
 TEST(ParallelEvalTest, UnstratifiableProgramFailsLikeSerial) {
   Program program = MustParse("p(X) :- q(X), not p(X).");
   Database edb = MustParseFacts("q(a).");
-  Result<Database> serial = Evaluate(program, edb, Opts(EvalStrategy::kSemiNaive, 1));
-  Result<Database> parallel = Evaluate(program, edb, Opts(EvalStrategy::kSemiNaive, 4));
+  Result<Database> serial = Evaluate(program, edb, Opts(1));
+  Result<Database> parallel = Evaluate(program, edb, Opts(4));
   ASSERT_FALSE(serial.ok());
   ASSERT_FALSE(parallel.ok());
   EXPECT_EQ(serial.status().code(), parallel.status().code());
@@ -200,7 +199,7 @@ TEST(ParallelEvalTest, MaxIterationsBudgetApplies) {
   Database edb = MustParseFacts(
       "edge(n1, n2). edge(n2, n3). edge(n3, n4). edge(n4, n5). "
       "edge(n5, n6). edge(n6, n7). edge(n7, n8).");
-  EvalOptions options = Opts(EvalStrategy::kSemiNaive, 4);
+  EvalOptions options = Opts(4);
   options.max_iterations = 2;
   Result<Database> result = Evaluate(program, edb, options);
   ASSERT_FALSE(result.ok());
@@ -223,7 +222,7 @@ TEST(ParallelEvalTest, StatsAreMergedAcrossWorkers) {
   Database edb = GenerateGenealogyDb(params);
   EvalStats stats;
   Result<Database> idb =
-      Evaluate(*program, edb, Opts(EvalStrategy::kSemiNaive, 4), &stats);
+      Evaluate(*program, edb, Opts(4), &stats);
   ASSERT_TRUE(idb.ok());
   EXPECT_GT(stats.derived_tuples, 0u);
   EXPECT_GT(stats.rule_applications, 0u);

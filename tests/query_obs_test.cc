@@ -102,19 +102,19 @@ TEST(QueryProfileJsonTest, AllStableKeysPresent) {
   p.queue_wait_us = 10;
   p.pin_us = 1;
   p.eval_us = 90;
-  p.fixpoint_us = 80;
   p.render_us = 4;
   p.pinned_epoch = 2;
-  p.plan_cache_hits = 4;
-  p.plan_cache_misses = 1;
-  p.iterations = 3;
-  p.derived = 9;
-  p.duplicates = 2;
-  p.bindings = 40;
-  p.peak_delta = 5;
-  p.rounds.push_back({1, 1, 30, 0, 5, 5});
-  p.rounds.push_back({1, 2, 20, 5, 0, 0});
-  p.rules.push_back({"r1", 2, 9, 2, 70});
+  p.eval.eval_ns = 80000;
+  p.eval.plan_cache_hits = 4;
+  p.eval.plan_cache_misses = 1;
+  p.eval.iterations = 3;
+  p.eval.derived_tuples = 9;
+  p.eval.duplicate_tuples = 2;
+  p.eval.bindings_explored = 40;
+  p.eval.peak_delta_tuples = 5;
+  p.eval.rounds.push_back({1, 1, 30000, 0, 5, 5});
+  p.eval.rounds.push_back({1, 2, 20000, 5, 0, 0});
+  p.eval.per_rule["r1"] = RuleStats{2, 9, 2, 70000};
 
   const std::string json = p.ToJson();
   ExpectJsonRecord(
@@ -127,10 +127,16 @@ TEST(QueryProfileJsonTest, AllStableKeysPresent) {
   EXPECT_EQ(JsonField(json, "sid"), 3u);
   EXPECT_EQ(JsonField(json, "queue_wait_us"), 10u);
   EXPECT_EQ(JsonField(json, "pinned_epoch"), 2u);
+  EXPECT_EQ(JsonField(json, "fixpoint_us"), 80u);
+  EXPECT_EQ(JsonField(json, "derived"), 9u);
   EXPECT_NE(json.find("\"ok\":true"), std::string::npos);
   EXPECT_NE(json.find("\"class\":\"heavy\""), std::string::npos);
   // Two round objects, in execution order.
-  EXPECT_NE(json.find("\"rounds\":[{\"stratum\":1,\"round\":1"),
+  EXPECT_NE(json.find("\"rounds\":[{\"stratum\":1,\"round\":1,\"us\":30,"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"rules\":[{\"label\":\"r1\",\"applications\":2,"
+                      "\"derived\":9,\"duplicates\":2,\"us\":70}]"),
             std::string::npos)
       << json;
 }
@@ -172,8 +178,8 @@ TEST(QueryLogTest, ConcurrentRecordsAreValidNonTornJsonl) {
         p.query = "q" + std::to_string(t) + "(X), X > " + std::to_string(i) +
                   ", pad(\"" + std::string(64, 'x') + "\")";
         p.total_us = static_cast<uint64_t>(i);
-        p.rounds.push_back(
-            {1, 1, static_cast<uint64_t>(i), 0, 1, 1});
+        p.eval.rounds.push_back(
+            {1, 1, static_cast<uint64_t>(i) * 1000, 0, 1, 1});
         log.Record(p, /*slow_threshold_us=*/0);
       }
     });
@@ -396,6 +402,7 @@ TEST(ProfileGoldenTest, FixedQueryRendersStableShape) {
   total # us = parse # + queue # + pin # + eval # + render #
   fixpoint # us, pinned epoch #
   plan cache: # hits / # misses; iterations #, derived #, duplicates #, peak delta #
+  work: rule applications #, bindings #, comparisons #, residue checks #, batches #, morsels #, steals #
   rounds (stratum/round: time, delta in -> out, derived):
     s#/r#: # us, # -> #, derived #
     s#/r#: # us, # -> #, derived #
@@ -416,15 +423,39 @@ stratum # (non-recursive, # rule):
 query$: query$answer(Y) :- query$seed($k#), t$q($k#, Y).
   #. t$q($k#, Y)  [scan] est~#.#
   #. query$seed($k#)  [probe cols #] (batch: fused into prior step) est~#.#
-  actual: # application(s), # derived, # duplicate(s), # us (#.#% of eval)
-rounds (stratum/round: time, delta in -> out, derived):
-  s#/r#: # us, # -> #, derived #
-  s#/r#: # us, # -> #, derived #
-  s#/r#: # us, # -> #, derived #
-  s#/r#: # us, # -> #, derived #
-  s#/r#: # us, # -> #, derived #
-totals: # round(s), # derived, # duplicate(s), plan cache # hit(s) / # miss(es), peak delta #, eval # us)";
+  actual: # application(s), # derived, # duplicate(s), # us (#.#% of eval))";
   EXPECT_EQ(got, want);
+}
+
+size_t Occurrences(const std::string& text, const std::string& needle) {
+  size_t n = 0;
+  for (size_t pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ProfileGoldenTest, MultiLaneProfileRendersEachSectionOnce) {
+  Shell shell;
+  shell.Execute(":threads 4");
+  shell.Execute("t(X, Y) :- e(X, Y).");
+  shell.Execute("t(X, Z) :- t(X, Y), e(Y, Z).");
+  for (int i = 0; i < 40; ++i) {
+    shell.Execute("e(" + std::to_string(i) + ", " + std::to_string(i + 1) +
+                  ").");
+  }
+  const std::string out = shell.Execute(":profile t(X, 40).");
+  EXPECT_NE(out.find("path: magic"), std::string::npos) << out;
+  for (const char* section :
+       {"fixpoint ", "plan cache: ", "iterations ", "peak delta ", "work: ",
+        "bindings ", "steals ", "rounds (", "balance ("}) {
+    EXPECT_EQ(Occurrences(out, section), 1u) << section << " in\n" << out;
+  }
+  // One balance row per round, each with all four lanes.
+  const obs::QueryProfile& profile = shell.processor().last_profile();
+  EXPECT_EQ(Occurrences(out, " 4 lanes, "), profile.eval.rounds.size())
+      << out;
 }
 
 TEST(ProfileGoldenTest, ProfileWithExplicitQueryAndRuleTimeSum) {
@@ -454,10 +485,10 @@ TEST(ProfileGoldenTest, ProfileWithExplicitQueryAndRuleTimeSum) {
   // workload, to a substantial share of the fixpoint time.
   ASSERT_TRUE(shell.processor().have_last_profile());
   const obs::QueryProfile& profile = shell.processor().last_profile();
-  ASSERT_FALSE(profile.rules.empty());
+  ASSERT_FALSE(profile.eval.per_rule.empty());
   uint64_t rule_sum_us = 0;
-  for (const obs::QueryProfile::Rule& r : profile.rules) {
-    rule_sum_us += r.us;
+  for (const auto& [label, r] : profile.eval.per_rule) {
+    rule_sum_us += r.exec_ns / 1000;
   }
   EXPECT_GT(rule_sum_us, 0u);
   EXPECT_LE(rule_sum_us, profile.eval_us + profile.eval_us / 10 + 200);

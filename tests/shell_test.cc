@@ -145,21 +145,14 @@ TEST_F(ShellTest, MagicQuery) {
   shell_.Execute("t(X, Y) :- e(X, Y).");
   shell_.Execute("t(X, Y) :- t(X, Z), e(Z, Y).");
   shell_.Execute("e(a, b). e(b, c). e(x, y).");
-  std::string out = shell_.Execute(".magic t(a, Y)");
-  EXPECT_NE(out.find("t(a, b)"), std::string::npos);
-  EXPECT_NE(out.find("t(a, c)"), std::string::npos);
-  EXPECT_NE(out.find("2 answer(s)"), std::string::npos);
-  EXPECT_EQ(out.find("t(x, y)"), std::string::npos);
-}
-
-TEST_F(ShellTest, StatsToggle) {
-  shell_.Execute("t(X) :- e(X).");
-  shell_.Execute("e(a).");
-  EXPECT_EQ(shell_.Execute(".stats").find("stats on"), 0u);
-  EXPECT_NE(shell_.Execute("?- t(X).").find("iterations="),
-            std::string::npos);
-  shell_.Execute(".stats off");
-  EXPECT_EQ(shell_.Execute("?- t(X).").find("iterations="),
+  // The recursion keeps argument 0 fixed, not argument 1, so a goal
+  // bound on argument 1 is answered with magic sets.
+  std::string out = shell_.Execute("?- t(X, c).");
+  EXPECT_NE(out.find("X=a"), std::string::npos) << out;
+  EXPECT_NE(out.find("X=b"), std::string::npos) << out;
+  EXPECT_NE(out.find("2 answer(s)"), std::string::npos) << out;
+  EXPECT_EQ(out.find("X=x"), std::string::npos) << out;
+  EXPECT_NE(shell_.Execute(":profile").find("path: magic"),
             std::string::npos);
 }
 
@@ -181,6 +174,14 @@ TEST_F(ShellTest, UnknownCommand) {
             std::string::npos);
   // There is one join planner and no command to pick another.
   EXPECT_NE(shell_.Execute(":planner cost").find("unknown command"),
+            std::string::npos);
+  // The last query's record is :profile's and the process totals are
+  // :stats'; a bound goal takes its query path through `?-`.
+  EXPECT_NE(shell_.Execute(":metrics").find("unknown command"),
+            std::string::npos);
+  EXPECT_NE(shell_.Execute(".stats on").find("unknown command"),
+            std::string::npos);
+  EXPECT_NE(shell_.Execute(".magic t(a, Y)").find("unknown command"),
             std::string::npos);
 }
 
@@ -252,58 +253,51 @@ TEST_F(ShellTest, TraceCommand) {
   std::remove(path.c_str());
 }
 
-TEST_F(ShellTest, MetricsCommand) {
-  EXPECT_NE(shell_.Execute(":metrics").find("collection is off"),
-            std::string::npos);
-  EXPECT_EQ(shell_.Execute(":metrics on"),
-            "metrics on (per-rule/per-round collection)");
-  EXPECT_NE(shell_.Execute(":metrics").find("no evaluation yet"),
-            std::string::npos);
+TEST_F(ShellTest, StatsExportsStorageCounters) {
+  // The process totals the storage layer keeps are :stats' to show.
   shell_.Execute("t(X, Y) :- e(X, Y).");
   shell_.Execute("t(X, Z) :- t(X, Y), e(Y, Z).");
-  shell_.Execute("e(a, b). e(b, c). e(c, d).");
-  shell_.Execute("?- t(a, X).");
-  std::string report = shell_.Execute(":metrics");
-  EXPECT_NE(report.find("totals:"), std::string::npos);
-  EXPECT_NE(report.find("per-rule:"), std::string::npos);
-  EXPECT_NE(report.find("derived="), std::string::npos);
-  EXPECT_NE(report.find("storage: tuples_bytes="), std::string::npos);
-  EXPECT_NE(report.find("rehashes="), std::string::npos);
-  EXPECT_EQ(shell_.Execute(":metrics off"), "metrics off");
-  EXPECT_NE(shell_.Execute(":metrics bogus").find("usage:"),
-            std::string::npos);
+  for (int i = 0; i < 200; ++i) {
+    shell_.Execute("e(" + std::to_string(i) + ", " + std::to_string(i + 1) +
+                   ").");
+  }
+  shell_.Execute("?- t(0, X).");
+  std::string stats = shell_.Execute(":stats");
+  EXPECT_NE(stats.find("semopt_storage_tuples_bytes "), std::string::npos)
+      << stats;
+  EXPECT_NE(stats.find("semopt_storage_rehash "), std::string::npos)
+      << stats;
+  EXPECT_NE(stats.find("semopt_eval_derived_tuples "), std::string::npos)
+      << stats;
 }
 
 TEST_F(ShellTest, MetricsReportShowsPlanCacheCounters) {
-  shell_.Execute(":metrics on");
   shell_.Execute("t(X, Y) :- e(X, Y).");
   shell_.Execute("t(X, Z) :- t(X, Y), e(Y, Z).");
   shell_.Execute("e(a, b). e(b, c). e(c, d). e(d, e1). e(e1, f).");
   shell_.Execute("?- t(a, X).");
-  std::string report = shell_.Execute(":metrics");
-  EXPECT_NE(report.find("eval.plan_cache.hit="), std::string::npos) << report;
-  EXPECT_NE(report.find("eval.plan_cache.miss="), std::string::npos);
-  EXPECT_NE(report.find("eval.batches="), std::string::npos);
+  std::string report = shell_.Execute(":profile");
+  EXPECT_NE(report.find("plan cache: "), std::string::npos) << report;
+  EXPECT_NE(report.find(" misses; "), std::string::npos) << report;
+  EXPECT_NE(report.find(", batches "), std::string::npos) << report;
 }
 
 TEST_F(ShellTest, ParallelSessionReachesSteadyStatePlanCacheHits) {
   // A morsel-parallel session uses partitioned plan-cache entries;
   // after one warm-up evaluation a repeated query must hit every
   // round (miss=0): the partitioned regime is cached like the serial
-  // one, never re-planned.
-  shell_.Execute(":metrics on");
+  // one, never re-planned. `:profile` re-runs the query, so the first
+  // one is the warm-up.
   EXPECT_EQ(shell_.Execute(":threads 4"), "threads 4 (morsel-parallel)");
   shell_.Execute("t(X, Y) :- e(X, Y).");
   shell_.Execute("t(X, Z) :- t(X, Y), e(Y, Z).");
   shell_.Execute("e(a, b). e(b, c). e(c, d). e(d, e1). e(e1, f).");
-  shell_.Execute("?- t(a, X).");
-  std::string first = shell_.Execute(":metrics");
-  EXPECT_EQ(first.find("eval.plan_cache.miss=0"), std::string::npos) << first;
-  shell_.Execute("?- t(a, X).");
-  std::string second = shell_.Execute(":metrics");
-  EXPECT_NE(second.find("eval.plan_cache.miss=0"), std::string::npos)
-      << second;
-  EXPECT_NE(second.find("eval.morsels="), std::string::npos) << second;
+  std::string first = shell_.Execute(":profile t(a, X).");
+  EXPECT_EQ(first.find(" / 0 misses;"), std::string::npos) << first;
+  std::string second = shell_.Execute(":profile");
+  EXPECT_NE(second.find(" / 0 misses;"), std::string::npos) << second;
+  EXPECT_EQ(second.find(", morsels 0,"), std::string::npos) << second;
+  EXPECT_NE(second.find(", morsels "), std::string::npos) << second;
 }
 
 TEST_F(ShellTest, PlanCommandShowsJoinOrderAndProbeColumns) {

@@ -64,11 +64,8 @@ inline Database MustParseFacts(std::string_view source) {
 
 /// Evaluates and returns the IDB, failing the test on error.
 inline Database MustEvaluate(const Program& program, const Database& edb,
-                             EvalStrategy strategy = EvalStrategy::kSemiNaive,
                              EvalStats* stats = nullptr) {
-  EvalOptions options;
-  options.strategy = strategy;
-  Result<Database> result = Evaluate(program, edb, options, stats);
+  Result<Database> result = Evaluate(program, edb, EvalOptions(), stats);
   EXPECT_TRUE(result.ok()) << result.status();
   return result.ok() ? std::move(result).value() : Database();
 }
@@ -95,7 +92,7 @@ inline size_t RelationSize(const Database& db, std::string_view pred,
   return rel == nullptr ? 0 : rel->size();
 }
 
-/// Evaluates `program` over `edb` with `base` at every strategy ×
+/// Evaluates `program` over `edb` with `base` at every
 /// threads {1, 2, 8} × batch size {1, 2, 5, 1024} and expects each run
 /// to derive exactly the reference evaluator's fixpoint (facts and
 /// derived-tuple count).
@@ -103,26 +100,19 @@ inline void ExpectMatchesReference(const Program& program, const Database& edb,
                                    const EvalOptions& base = EvalOptions()) {
   Result<Database> reference = ReferenceEvaluate(program, edb);
   ASSERT_TRUE(reference.ok()) << reference.status();
-  for (EvalStrategy strategy :
-       {EvalStrategy::kSemiNaive, EvalStrategy::kNaive}) {
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      for (size_t batch : {size_t{1}, size_t{2}, size_t{5}, size_t{1024}}) {
-        EvalOptions options = base;
-        options.strategy = strategy;
-        options.num_threads = threads;
-        options.batch_size = batch;
-        EvalStats stats;
-        Result<Database> result = Evaluate(program, edb, options, &stats);
-        const std::string where =
-            std::string(strategy == EvalStrategy::kNaive ? "naive"
-                                                         : "semi-naive") +
-            " threads=" + std::to_string(threads) +
-            " batch=" + std::to_string(batch);
-        ASSERT_TRUE(result.ok()) << result.status() << " " << where;
-        EXPECT_TRUE(reference->SameFactsAs(*result)) << where;
-        EXPECT_EQ(stats.derived_tuples, reference->TotalTuples()) << where;
-        EXPECT_GT(stats.iterations, 0u) << where;
-      }
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    for (size_t batch : {size_t{1}, size_t{2}, size_t{5}, size_t{1024}}) {
+      EvalOptions options = base;
+      options.num_threads = threads;
+      options.batch_size = batch;
+      EvalStats stats;
+      Result<Database> result = Evaluate(program, edb, options, &stats);
+      const std::string where = "threads=" + std::to_string(threads) +
+                                " batch=" + std::to_string(batch);
+      ASSERT_TRUE(result.ok()) << result.status() << " " << where;
+      EXPECT_TRUE(reference->SameFactsAs(*result)) << where;
+      EXPECT_EQ(stats.derived_tuples, reference->TotalTuples()) << where;
+      EXPECT_GT(stats.iterations, 0u) << where;
     }
   }
 }

@@ -15,6 +15,11 @@ clients against semopt_server --query-log/--slow-log):
     class follows it: light iff the path is edb;
   - heavy-class records ran a fixpoint (iterations > 0) and carry
     per-round entries;
+  - every ok record is internally consistent: one rounds[] entry per
+    iteration, fixpoint_us <= eval_us (the fixpoint runs inside the
+    query-path call), and, off the edb path, the rounds' derived counts
+    sum to the record's derived (the edb path counts its answers as
+    derived without running a round);
   - with the slow threshold armed below every query's latency, the slow
     log mirrors every record.
 """
@@ -76,6 +81,22 @@ def main(argv):
         if r["path"] and r["class"] and \
                 (r["class"] == "light") != (r["path"] == "edb"):
             print(f"check_query_log: class does not follow the path: {r}",
+                  file=sys.stderr)
+            return 1
+    for r in records:
+        if not r["ok"]:
+            continue
+        if len(r["rounds"]) != r["iterations"]:
+            print(f"check_query_log: {len(r['rounds'])} rounds for"
+                  f" {r['iterations']} iterations: {r}", file=sys.stderr)
+            return 1
+        if r["fixpoint_us"] > r["eval_us"]:
+            print(f"check_query_log: fixpoint_us exceeds eval_us: {r}",
+                  file=sys.stderr)
+            return 1
+        if r["path"] != "edb" and \
+                sum(rd["derived"] for rd in r["rounds"]) != r["derived"]:
+            print(f"check_query_log: rounds do not sum to derived: {r}",
                   file=sys.stderr)
             return 1
     heavy = [r for r in records if r["class"] == "heavy"]
