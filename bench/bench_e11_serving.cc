@@ -16,6 +16,13 @@
 // Percentiles come from bench::LatencyRecorder (the shared log-bucket
 // histogram), not an ad-hoc sort.
 //
+// Two socket-free legs isolate the fixed cost a heavy request pays
+// before its join: BM_PlanCacheHit times one plan-cache hit (private
+// and shared cache), the lookup every rule of every round makes, and
+// BM_PushedBoundGoal times one pushed bound goal end to end in the
+// library (PlanQuery + RunQueryPlan through the shared cache + answer
+// rendering), the serving path minus the protocol.
+//
 // Artifact: bench/BENCH_e11.json (see EXPERIMENTS.md).
 
 #include <netinet/in.h>
@@ -31,6 +38,10 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "eval/plan_cache.h"
+#include "eval/shared_plan_cache.h"
+#include "magic/query_paths.h"
+#include "parser/parser.h"
 #include "server/protocol.h"
 #include "server/server.h"
 #include "storage/database.h"
@@ -216,6 +227,82 @@ void RunServingBench(::benchmark::State& state, bool logged) {
 
 void BM_Serving(::benchmark::State& state) { RunServingBench(state, false); }
 
+/// One warm plan-cache hit for a three-literal rule over the chain;
+/// arg 1 goes through the sharded SharedPlanCache the server uses.
+void BM_PlanCacheHit(::benchmark::State& state) {
+  const bool shared = state.range(0) == 1;
+  Database db = ChainDatabase();
+  DatabaseSource source(&db);
+  Result<Rule> rule = ParseRule("p(X, Z) :- e(X, Y), e(Y, Z), Z > 3.");
+  Result<RuleExecutor> exec =
+      rule.ok() ? RuleExecutor::Create(*rule) : rule.status();
+  if (!exec.ok()) {
+    state.SkipWithError(exec.status().ToString().c_str());
+    return;
+  }
+  PlanCache private_cache;
+  SharedPlanCache shared_cache;
+  PlanCacheInterface& cache =
+      shared ? static_cast<PlanCacheInterface&>(shared_cache) : private_cache;
+  EvalStats stats;
+  if (!cache.Get(*exec, source, -1, &stats).ok()) {
+    state.SkipWithError("plan failed");
+    return;
+  }
+  for (auto _ : state) {
+    Result<RuleExecutor::PreparedPlan> plan =
+        cache.Get(*exec, source, -1, &stats);
+    ::benchmark::DoNotOptimize(plan);
+  }
+  state.counters["hits"] = static_cast<double>(stats.plan_cache_hits);
+  state.counters["misses"] = static_cast<double>(stats.plan_cache_misses);
+}
+
+/// The fixed cost of one pushed bound goal `t(90, Y)` (6 answers): the
+/// query-path choice, the pushed program's fixpoint through a warm
+/// shared plan cache, and the answer rendering.
+void BM_PushedBoundGoal(::benchmark::State& state) {
+  Result<Program> program = ParseProgram(
+      "t(X, Y) :- e(X, Y).\n"
+      "t(X, Z) :- t(X, Y), e(Y, Z).\n");
+  Result<std::vector<Literal>> body = ParseLiteralList("t(90, Y)");
+  if (!program.ok() || !body.ok()) {
+    state.SkipWithError("parse failed");
+    return;
+  }
+  std::vector<Term> projection = {Term::Var("Y")};
+  Database db = ChainDatabase();
+  SharedPlanCache cache;
+  EvalOptions options;
+  options.plan_cache = &cache;
+  size_t answers = 0, lookups = 0, hits = 0, queries = 0;
+  for (auto _ : state) {
+    Result<QueryPlan> plan = PlanQuery(*program, *body, projection);
+    if (!plan.ok() || plan->path != QueryPath::kPushed) {
+      state.SkipWithError("t(90, Y) did not take the pushed path");
+      return;
+    }
+    EvalStats stats;
+    Result<QueryResult> result = RunQueryPlan(*plan, db, options, &stats);
+    if (!result.ok()) {
+      state.SkipWithError(result.status().ToString().c_str());
+      return;
+    }
+    std::string out;
+    result->AppendTo(&out);
+    ::benchmark::DoNotOptimize(out);
+    answers = result->size();
+    lookups += stats.plan_cache_hits + stats.plan_cache_misses;
+    hits += stats.plan_cache_hits;
+    ++queries;
+  }
+  state.counters["answers"] = static_cast<double>(answers);
+  state.counters["plan_lookups_per_query"] =
+      static_cast<double>(lookups) / static_cast<double>(queries);
+  state.counters["plan_hit_ratio"] =
+      static_cast<double>(hits) / static_cast<double>(lookups);
+}
+
 void BM_ServingLogged(::benchmark::State& state) {
   RunServingBench(state, true);
 }
@@ -236,6 +323,10 @@ BENCHMARK(BM_ServingLogged)
     ->UseManualTime()
     ->Unit(::benchmark::kMillisecond)
     ->Iterations(3);
+
+BENCHMARK(BM_PlanCacheHit)->ArgName("shared")->Arg(0)->Arg(1);
+
+BENCHMARK(BM_PushedBoundGoal)->Unit(::benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace semopt

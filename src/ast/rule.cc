@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "util/hash_util.h"
 #include "util/string_util.h"
 
 namespace semopt {
@@ -26,6 +27,12 @@ int Rule::CountBodyUses(const PredicateId& pred) const {
     }
   }
   return count;
+}
+
+size_t Rule::Hash() const {
+  size_t seed = head_.Hash();
+  for (const Literal& lit : body_) HashCombine(&seed, lit);
+  return seed;
 }
 
 std::string Rule::ToString() const {

@@ -50,6 +50,10 @@ class Rule {
   }
   bool operator!=(const Rule& other) const { return !(*this == other); }
 
+  /// Structural hash consistent with operator==: head and body, label
+  /// ignored.
+  size_t Hash() const;
+
   /// Renders "head :- b1, b2, ..., bn." (or "head." for a fact), with the
   /// label prefix "label: " when a label is set.
   std::string ToString() const;

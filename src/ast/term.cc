@@ -1,6 +1,7 @@
 #include "ast/term.h"
 
 #include <cctype>
+#include <charconv>
 #include <string>
 
 namespace semopt {
@@ -35,6 +36,17 @@ std::string Term::ToString() const {
       return std::to_string(payload_);
   }
   return "<bad term>";
+}
+
+void Term::AppendTo(std::string* out) const {
+  if (kind_ != TermKind::kIntConst) {
+    *out += ToString();
+    return;
+  }
+  char buf[24];  // INT64_MIN is 20 characters
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof(buf), payload_);
+  out->append(buf, r.ptr);
 }
 
 std::ostream& operator<<(std::ostream& os, const Term& term) {

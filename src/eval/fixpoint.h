@@ -87,7 +87,7 @@ struct EvalOptions {
   /// cardinality-band signature), so a repeated evaluation — the shell
   /// re-running a query — re-traverses an already-seen band trajectory
   /// and skips the planner every round. Entries are content-addressed
-  /// by rule text: sharing one cache across different or extended
+  /// by rule structure: sharing one cache across different or extended
   /// programs is safe. A plain PlanCache is coordinator-thread only
   /// (each evaluation uses it from one thread); point this at a
   /// SharedPlanCache (eval/shared_plan_cache.h) to share one memo

@@ -62,8 +62,8 @@ uint64_t NowUs() {
 
 /// Interns the synthetic view predicate `<prefix><name>` of the same
 /// arity as `p`. Stable across batches (the interner is a process-wide
-/// table), so rewritten rule texts — and therefore plan-cache keys —
-/// never change between batches.
+/// table), so rewritten rules — and therefore plan-cache keys — never
+/// change between batches.
 PredicateId ViewPred(const char* prefix, const PredicateId& p) {
   return PredicateId{InternSymbol(StrCat(prefix, SymbolName(p.name))),
                      p.arity};

@@ -53,25 +53,25 @@ std::vector<uint8_t> PlanCache::Signature(const RuleExecutor& exec,
 }
 
 void PlanCache::EvictToCap() {
+  static obs::Counter& evicted =
+      obs::MetricsRegistry::Global().GetCounter("eval.plan_cache.evicted");
   while (entries_.size() > max_entries_) {
     const Key* oldest = lru_.back();
     lru_.pop_back();
     entries_.erase(*oldest);
     ++evictions_;
-    obs::MetricsRegistry::Global()
-        .GetCounter("eval.plan_cache.evicted")
-        .Add(1);
+    evicted.Add(1);
   }
 }
 
 Result<RuleExecutor::PreparedPlan> PlanCache::Get(
     const RuleExecutor& exec, const RelationSource& source, int delta_literal,
     EvalStats* stats, bool partitioned, bool coarse_bands) {
-  Key key{exec.rule().ToString(), delta_literal,
+  Key key{exec.fingerprint(), delta_literal,
           static_cast<uint8_t>((partitioned ? 1 : 0) | (coarse_bands ? 2 : 0)),
           Signature(exec, source, delta_literal, coarse_bands)};
   auto it = entries_.find(key);
-  if (it != entries_.end()) {
+  if (it != entries_.end() && it->second.rule == exec.rule()) {
     ++hits_;
     if (stats != nullptr) ++stats->plan_cache_hits;
     // Refresh recency: splice this entry's node to the front.
@@ -88,7 +88,15 @@ Result<RuleExecutor::PreparedPlan> PlanCache::Get(
   SEMOPT_ASSIGN_OR_RETURN(
       RuleExecutor::PreparedPlan plan,
       exec.Prepare(source, delta_literal, partitioned));
-  auto [inserted_it, _] = entries_.emplace(std::move(key), Entry{plan, {}});
+  if (it != entries_.end()) {
+    // Fingerprint collision: the slot now belongs to this rule.
+    it->second.rule = exec.rule();
+    it->second.plan = plan;
+    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+    return plan;
+  }
+  auto [inserted_it, _] =
+      entries_.emplace(std::move(key), Entry{exec.rule(), plan, {}});
   lru_.push_front(&inserted_it->first);
   inserted_it->second.lru_it = lru_.begin();
   EvictToCap();

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <list>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "obs/eval_stats.h"
@@ -41,8 +40,8 @@ class PlanCacheInterface {
 };
 
 /// Cross-round (and cross-evaluation) memo of prepared rule plans,
-/// keyed by (rule text, delta literal, regime flags, log2 cardinality
-/// band of every body relation).
+/// keyed by (rule fingerprint, delta literal, regime flags, log2
+/// cardinality band of every body relation).
 ///
 /// The planner re-orders joins from the *current* sizes
 /// of the input relations, which change every semi-naive round — but a
@@ -63,10 +62,16 @@ class PlanCacheInterface {
 /// evaluation: re-running the same query re-traverses the same band
 /// trajectory and every round hits.
 ///
-/// Identity is the rule's text, not an object address, so one cache is
-/// safe to share across evaluations, across extended copies of a
-/// program (ad-hoc query rules just add their own entries), and across
-/// rule-object lifetimes. Correctness is unconditional: every BuildPlan
+/// Identity is the rule's structure, not an object address, so one
+/// cache is safe to share across evaluations, across extended copies of
+/// a program (ad-hoc query rules just add their own entries), and
+/// across rule-object lifetimes. The key holds the executor's 64-bit
+/// structural fingerprint (RuleExecutor::fingerprint, computed once per
+/// executor), so a lookup hashes nothing and renders nothing; each
+/// entry keeps its rule, and a hit is taken only when that rule equals
+/// the caller's (Rule::operator==, labels ignored). A fingerprint
+/// collision is therefore a miss that re-plans and replaces the entry,
+/// never another rule's plan. Correctness is unconditional: every BuildPlan
 /// output derives the same tuples regardless of data, so a stale band
 /// costs performance only. Single-threaded coordinator use, like
 /// Prepare; for cross-session sharing wrap shards of these in a
@@ -110,9 +115,10 @@ class PlanCache : public PlanCacheInterface {
 
  private:
   struct Key {
-    /// Exact rule text: content-addressed identity (rule objects are
-    /// rebuilt per evaluation; addresses are not stable).
-    std::string rule;
+    /// RuleExecutor::fingerprint: structural identity (rule objects are
+    /// rebuilt per evaluation; addresses are not stable). Confirmed
+    /// against Entry::rule on every hit.
+    uint64_t fingerprint;
     int delta_literal;
     /// Plan regime beyond cardinalities: bit 0 = partitioned
     /// (multi-lane morsel regime), bit 1 = coarse bands (sub-1024
@@ -125,6 +131,8 @@ class PlanCache : public PlanCacheInterface {
     auto operator<=>(const Key&) const = default;
   };
   struct Entry {
+    /// The rule `plan` was prepared for; a hit requires equality.
+    Rule rule;
     RuleExecutor::PreparedPlan plan;
     /// This entry's position in `lru_` (front = most recent).
     std::list<const Key*>::iterator lru_it;

@@ -1,7 +1,5 @@
 #include "eval/query.h"
 
-#include <sstream>
-
 #include "ast/rename.h"
 #include "parser/parser.h"
 #include "util/string_util.h"
@@ -9,15 +7,31 @@
 namespace semopt {
 
 std::string QueryResult::ToString() const {
-  std::ostringstream os;
-  for (const Tuple& row : tuples) {
-    for (size_t i = 0; i < variables.size(); ++i) {
-      if (i > 0) os << ", ";
-      os << SymbolName(variables[i]) << "=" << row[i];
-    }
-    os << "\n";
+  std::string out;
+  AppendTo(&out);
+  return out;
+}
+
+void QueryResult::AppendTo(std::string* out) const {
+  if (tuples.empty()) return;
+  // Each column's "Name=" (with its ", " separator) is rendered once,
+  // not once per row.
+  std::vector<std::string> prefixes(variables.size());
+  size_t row_bytes = 1;
+  for (size_t i = 0; i < variables.size(); ++i) {
+    if (i > 0) prefixes[i] = ", ";
+    prefixes[i] += SymbolName(variables[i]);
+    prefixes[i] += '=';
+    row_bytes += prefixes[i].size() + 8;  // a short value's width
   }
-  return os.str();
+  out->reserve(out->size() + tuples.size() * row_bytes);
+  for (const Tuple& row : tuples) {
+    for (size_t i = 0; i < prefixes.size(); ++i) {
+      *out += prefixes[i];
+      row[i].AppendTo(out);
+    }
+    *out += '\n';
+  }
 }
 
 Result<QueryResult> AnswerQuery(const Program& program, const Database& edb,

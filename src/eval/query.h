@@ -24,6 +24,10 @@ struct QueryResult {
 
   /// Renders one row per line: "X=a, Y=b".
   std::string ToString() const;
+
+  /// Appends ToString()'s text to `out` (the server renders answers
+  /// straight into its response this way).
+  void AppendTo(std::string* out) const;
 };
 
 /// Answers a conjunctive query `body` over `program`+`edb`, projecting

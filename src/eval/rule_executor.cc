@@ -12,6 +12,7 @@
 #include "obs/trace.h"
 #include "storage/column_view.h"
 #include "storage/vector_kernels.h"
+#include "util/hash_util.h"
 #include "util/string_util.h"
 
 namespace semopt {
@@ -19,6 +20,9 @@ namespace semopt {
 Result<RuleExecutor> RuleExecutor::Create(const Rule& rule) {
   RuleExecutor exec;
   exec.rule_ = rule;
+  // Mixed so every bit avalanches: shard routing takes it modulo a
+  // small count.
+  exec.fingerprint_ = MixBits(rule.Hash());
 
   // Assign frame slots to variables in first-occurrence order
   // (CollectVariables deduplicates), then sort the table by symbol for

@@ -222,6 +222,11 @@ class RuleExecutor {
 
   const Rule& rule() const { return rule_; }
 
+  /// 64-bit structural fingerprint of `rule()`, computed once in
+  /// Create: equal rules (labels ignored, as by Rule::operator==) have
+  /// equal fingerprints. The plan caches key and route on it.
+  uint64_t fingerprint() const { return fingerprint_; }
+
   /// Number of variable slots in the execution frame.
   size_t slot_count() const { return slot_count_; }
 
@@ -429,6 +434,7 @@ class RuleExecutor {
                     const BatchSink& sink) const;
 
   Rule rule_;
+  uint64_t fingerprint_ = 0;
   /// Variable→slot table, sorted by symbol id. Slots are dense
   /// 0..slot_count_-1 (asserted in Create): frame blocks index by slot.
   std::vector<std::pair<SymbolId, uint32_t>> slots_;

@@ -1,8 +1,5 @@
 #include "eval/shared_plan_cache.h"
 
-#include <functional>
-#include <string>
-
 #include "obs/metrics.h"
 
 namespace semopt {
@@ -17,11 +14,10 @@ SharedPlanCache::SharedPlanCache(size_t shards,
 }
 
 SharedPlanCache::Shard& SharedPlanCache::ShardFor(const RuleExecutor& exec) {
-  // The rule's text is the cache key's identity component; hashing it
-  // routes all regimes/deltas of one rule to one shard (so a rule's
+  // The fingerprint is the cache key's identity component; routing on
+  // it sends all regimes/deltas of one rule to one shard (so a rule's
   // band trajectory shares one LRU) and different rules across shards.
-  const size_t h = std::hash<std::string>{}(exec.rule().ToString());
-  return *shards_[h % shards_.size()];
+  return *shards_[exec.fingerprint() % shards_.size()];
 }
 
 Result<RuleExecutor::PreparedPlan> SharedPlanCache::Get(
@@ -37,12 +33,12 @@ Result<RuleExecutor::PreparedPlan> SharedPlanCache::Get(
     result_hits = shard.cache.hits();
     return r;
   }();
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  if (result_hits > hits_before) {
-    registry.GetCounter("eval.shared_plan_cache.hit").Add(1);
-  } else {
-    registry.GetCounter("eval.shared_plan_cache.miss").Add(1);
-  }
+  // Counters are registry-owned and never freed: resolve them once.
+  static obs::Counter& hit =
+      obs::MetricsRegistry::Global().GetCounter("eval.shared_plan_cache.hit");
+  static obs::Counter& miss = obs::MetricsRegistry::Global().GetCounter(
+      "eval.shared_plan_cache.miss");
+  (result_hits > hits_before ? hit : miss).Add(1);
   return plan;
 }
 

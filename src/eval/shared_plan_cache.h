@@ -11,9 +11,11 @@
 namespace semopt {
 
 /// A cross-session plan cache: N independently-locked PlanCache shards,
-/// selected by a hash of the rule's text. PlanCache entries are already
-/// content-addressed (rule text + regime flags + cardinality bands),
-/// so plans prepared by one session are valid for every other session
+/// selected by the rule's structural fingerprint
+/// (RuleExecutor::fingerprint). PlanCache entries are already
+/// content-addressed (rule fingerprint confirmed by rule equality +
+/// regime flags + cardinality bands), so plans prepared by one session
+/// are valid for every other session
 /// evaluating over the same shared database — the only thing sharing
 /// needs is locking, and sharding keeps concurrent coordinators from
 /// serializing on one mutex (different rules almost always land on

@@ -415,26 +415,28 @@ Status RunRound(
             rs.exec_ns += ws.exec_ns[e];
           }
         }
-        // Tuples produced and morsels claimed per lane: the balance
-        // the merged totals hide.
-        RoundBalance balance;
-        balance.round = round;
-        balance.workers = lanes;
-        balance.min_tuples = SIZE_MAX;
-        balance.min_morsels = SIZE_MAX;
-        for (const WorkerState& ws : workers) {
-          size_t produced = 0;
-          for (const HashedRows& sink : ws.sinks) {
-            produced += sink.rows.size();
+        if (partitioned) {
+          // Tuples produced and morsels claimed per lane: the balance
+          // the merged totals hide. One lane has nothing to balance.
+          RoundBalance balance;
+          balance.round = round;
+          balance.workers = lanes;
+          balance.min_tuples = SIZE_MAX;
+          balance.min_morsels = SIZE_MAX;
+          for (const WorkerState& ws : workers) {
+            size_t produced = 0;
+            for (const HashedRows& sink : ws.sinks) {
+              produced += sink.rows.size();
+            }
+            balance.min_tuples = std::min(balance.min_tuples, produced);
+            balance.max_tuples = std::max(balance.max_tuples, produced);
+            balance.total_tuples += produced;
+            balance.min_morsels = std::min(balance.min_morsels, ws.morsels);
+            balance.max_morsels = std::max(balance.max_morsels, ws.morsels);
+            balance.total_morsels += ws.morsels;
           }
-          balance.min_tuples = std::min(balance.min_tuples, produced);
-          balance.max_tuples = std::max(balance.max_tuples, produced);
-          balance.total_tuples += produced;
-          balance.min_morsels = std::min(balance.min_morsels, ws.morsels);
-          balance.max_morsels = std::max(balance.max_morsels, ws.morsels);
-          balance.total_morsels += ws.morsels;
+          stats->round_balance.push_back(balance);
         }
-        stats->round_balance.push_back(balance);
       }
     }
   }

@@ -254,7 +254,7 @@ void BuildPushed(const Program& program, const DependencyGraph& graph,
 /// Builds the magic path for body literal `goal` into `plan`: the
 /// rewrite of `program` for the goal, then the query rule over the
 /// adorned answer predicate. The rewrite's seed fact becomes a rule
-/// over the seed relation, so the rule text stays the same for every
+/// over the seed relation, so the rules stay the same for every
 /// constant.
 Status BuildMagic(const Program& program, const std::vector<Literal>& body,
                   const std::vector<Literal>& lifted, size_t goal,

@@ -45,8 +45,8 @@ struct QueryPlan {
   /// paths: every rule the fixpoint evaluates, the query rule included.
   Program program;
   /// kPushed and kMagic lift every constant of the body into one column
-  /// of the one-row relation `query$seed` (body order), so their rule
-  /// text — and the plan-cache key — is the same for every constant.
+  /// of the one-row relation `query$seed` (body order), so their rules
+  /// — and their plan-cache keys — are the same for every constant.
   /// kEdb and kSliced keep the constants in their rules. Empty: no seed
   /// relation is added.
   Tuple seed;

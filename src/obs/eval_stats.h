@@ -128,8 +128,9 @@ struct EvalStats {
   std::vector<RoundTiming> rounds;
   /// Per-rule breakdown; empty unless EvalOptions::collect_metrics.
   std::map<std::string, RuleStats> per_rule;
-  /// Per-round worker balance; filled by the parallel evaluator when
-  /// collect_metrics is set.
+  /// Per-round worker balance; filled by the morsel engine when
+  /// collect_metrics is set and more than one lane runs (one row per
+  /// such round; a one-lane round has nothing to balance).
   std::vector<RoundBalance> round_balance;
 
   void Add(const EvalStats& other) {

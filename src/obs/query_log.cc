@@ -228,15 +228,12 @@ std::string QueryProfile::Render() const {
                  r.derived);
     }
   }
-  // One lane has nothing to balance; its row would repeat the round.
-  bool balance_header = false;
+  // Only multi-lane rounds record a balance row.
+  if (!eval.round_balance.empty()) {
+    out += "  balance (round: lanes, tuples min/max/mean, morsels "
+           "min/max/total):\n";
+  }
   for (const RoundBalance& b : eval.round_balance) {
-    if (b.workers < 2) continue;
-    if (!balance_header) {
-      out += "  balance (round: lanes, tuples min/max/mean, morsels "
-             "min/max/total):\n";
-      balance_header = true;
-    }
     AppendLine(&out,
                "    r%zu: %zu lanes, tuples %zu/%zu/%.1f, morsels "
                "%zu/%zu/%zu\n",

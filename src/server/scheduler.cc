@@ -14,8 +14,30 @@ const char* QueryClassName(QueryClass c) {
 }
 
 namespace {
-std::string MetricName(QueryClass cls, const char* suffix) {
-  return StrCat("server.sched.", QueryClassName(cls), ".", suffix);
+// One class's admission metrics, resolved from the registry once (its
+// metrics are never freed), so admission builds no names.
+struct ClassMetrics {
+  obs::Histogram& wait_us;
+  obs::Counter& admitted;
+  obs::Gauge& queue_depth;
+  obs::Gauge& running;
+};
+
+ClassMetrics ResolveClassMetrics(QueryClass cls) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  auto name = [cls](const char* suffix) {
+    return StrCat("server.sched.", QueryClassName(cls), ".", suffix);
+  };
+  return ClassMetrics{registry.GetHistogram(name("wait_us")),
+                      registry.GetCounter(name("admitted")),
+                      registry.GetGauge(name("queue_depth")),
+                      registry.GetGauge(name("running"))};
+}
+
+const ClassMetrics& MetricsFor(QueryClass cls) {
+  static const ClassMetrics heavy = ResolveClassMetrics(QueryClass::kHeavy);
+  static const ClassMetrics light = ResolveClassMetrics(QueryClass::kLight);
+  return cls == QueryClass::kHeavy ? heavy : light;
 }
 }  // namespace
 
@@ -66,10 +88,9 @@ SessionScheduler::Ticket SessionScheduler::Admit(QueryClass cls,
   cv_.notify_all();
   const auto waited = std::chrono::duration_cast<std::chrono::microseconds>(
       std::chrono::steady_clock::now() - start);
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  registry.GetHistogram(MetricName(cls, "wait_us"))
-      .Observe(static_cast<uint64_t>(waited.count()));
-  registry.GetCounter(MetricName(cls, "admitted")).Add(1);
+  const ClassMetrics& metrics = MetricsFor(cls);
+  metrics.wait_us.Observe(static_cast<uint64_t>(waited.count()));
+  metrics.admitted.Add(1);
   if (waited_us != nullptr) {
     *waited_us = static_cast<uint64_t>(waited.count());
   }
@@ -91,11 +112,9 @@ void SessionScheduler::ReleaseSlot(QueryClass cls) {
 
 void SessionScheduler::PublishGauges(QueryClass cls) const {
   const ClassState& state = StateFor(cls);
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  registry.GetGauge(MetricName(cls, "queue_depth"))
-      .Set(static_cast<int64_t>(state.queued));
-  registry.GetGauge(MetricName(cls, "running"))
-      .Set(static_cast<int64_t>(state.running));
+  const ClassMetrics& metrics = MetricsFor(cls);
+  metrics.queue_depth.Set(static_cast<int64_t>(state.queued));
+  metrics.running.Set(static_cast<int64_t>(state.running));
 }
 
 size_t SessionScheduler::running(QueryClass cls) const {

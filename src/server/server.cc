@@ -176,6 +176,7 @@ void QueryServer::AcceptLoop() {
 void QueryServer::ServeConnection(int fd) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   registry.GetCounter("server.sessions.opened").Add(1);
+  obs::Counter& requests = registry.GetCounter("server.requests");
 
   SessionCommandProcessor processor(&host_);
   processor.set_num_threads(options_.threads_per_query);
@@ -189,7 +190,7 @@ void QueryServer::ServeConnection(int fd) {
     while (open) {
       std::optional<std::string> line = lines.PopLine();
       if (!line.has_value()) break;
-      registry.GetCounter("server.requests").Add(1);
+      requests.Add(1);
       std::string response = processor.Execute(*line);
       if (!SendAll(fd, EncodeResponse(response))) {
         open = false;

@@ -308,14 +308,16 @@ std::string SessionCommandProcessor::RunQueryProfiled(
   profile.answers = result->size();
 
   const uint64_t t_render = NowNs();
-  std::ostringstream os;
+  std::string out;
   if (result->empty()) {
-    os << "no answers";
+    out = "no answers";
   } else {
-    os << result->ToString() << result->size() << " answer(s)";
+    result->AppendTo(&out);
+    out += std::to_string(result->size());
+    out += " answer(s)";
   }
   profile.render_us = (NowNs() - t_render) / 1000;
-  return finish(os.str());
+  return finish(std::move(out));
 }
 
 std::string SessionCommandProcessor::HandleCommand(std::string_view line) {

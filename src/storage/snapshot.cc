@@ -41,7 +41,10 @@ DatabaseSnapshot SnapshotStore::Pin() {
     ++pins_[epoch_];
   }
   snap.store_ = this;
-  obs::MetricsRegistry::Global().GetCounter("storage.snapshot.pins").Add(1);
+  // Registry-owned and never freed: resolved once.
+  static obs::Counter& pins =
+      obs::MetricsRegistry::Global().GetCounter("storage.snapshot.pins");
+  pins.Add(1);
   return snap;
 }
 

@@ -1,3 +1,5 @@
+#include <cstdint>
+#include <limits>
 #include <random>
 
 #include "eval/builtins.h"
@@ -638,6 +640,62 @@ TEST(PlanCacheTest, SteadyStateHitRateStays100PercentUnderDefaultCap) {
   EXPECT_GT(steady_lookups, 0u);
 }
 
+TEST(PlanCacheTest, LabelsDoNotSplitAnEntry) {
+  // Identity is structural, as in Rule::operator==: the label is
+  // metadata, so the same head and body under two labels share one plan.
+  Database db = MustParseFacts("e(a, b). e(b, c).");
+  DatabaseSource source(&db);
+  Rule first = MustParseRule("p(X, Z) :- e(X, Y), e(Y, Z)");
+  Rule second = first;
+  first.set_label("r0");
+  second.set_label("dev1$0");
+  Result<RuleExecutor> a = RuleExecutor::Create(first);
+  Result<RuleExecutor> b = RuleExecutor::Create(second);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a->fingerprint(), b->fingerprint());
+
+  PlanCache cache;
+  ASSERT_TRUE(cache.Get(*a, source, -1, nullptr).ok());
+  ASSERT_TRUE(cache.Get(*b, source, -1, nullptr).ok());
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), 1u);
+}
+
+TEST(PlanCacheTest, OneStructuralDifferenceIsADistinctEntry) {
+  // Each variant differs from the base in exactly one place: a
+  // constant, a variable name, a comparison operator, or the negation
+  // of a literal. None may hit the base's plan.
+  Database db = MustParseFacts("e(a, b). e(b, c). f(c). f(b).");
+  DatabaseSource source(&db);
+  const char* base = "p(X, Z) :- e(X, Y), e(Y, Z), f(Z), X != c";
+  const char* variants[] = {
+      "p(X, Z) :- e(X, Y), e(Y, Z), f(Z), X != b",     // constant
+      "p(X, Z) :- e(X, W), e(W, Z), f(Z), X != c",     // variable name
+      "p(X, Z) :- e(X, Y), e(Y, Z), f(Z), X = c",      // operator
+      "p(X, Z) :- e(X, Y), e(Y, Z), not f(Z), X != c", // negation
+      "p(X, Z) :- e(X, Y), e(Y, Z), f(Z), not X != c", // negated comparison
+  };
+  Result<RuleExecutor> base_exec = RuleExecutor::Create(MustParseRule(base));
+  ASSERT_TRUE(base_exec.ok());
+
+  PlanCache cache;
+  ASSERT_TRUE(cache.Get(*base_exec, source, -1, nullptr).ok());
+  size_t expected_size = 1;
+  for (const char* text : variants) {
+    Result<RuleExecutor> exec = RuleExecutor::Create(MustParseRule(text));
+    ASSERT_TRUE(exec.ok()) << text;
+    EXPECT_NE(exec->fingerprint(), base_exec->fingerprint()) << text;
+    ASSERT_TRUE(cache.Get(*exec, source, -1, nullptr).ok()) << text;
+    EXPECT_EQ(cache.hits(), 0u) << text;
+    EXPECT_EQ(cache.size(), ++expected_size) << text;
+  }
+  // Every variant and the base keep hitting their own entries.
+  ASSERT_TRUE(cache.Get(*base_exec, source, -1, nullptr).ok());
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), expected_size);
+}
+
 TEST(PlanCacheTest, SharedCacheServesManyCallersAndAggregates) {
   // The sharded wrapper behaves like one big cache: a plan prepared
   // through one caller's Get is a hit for every other caller, and the
@@ -928,6 +986,45 @@ TEST(QueryTest, RejectsNonVariableProjection) {
   auto body = ParseLiteralList("q(X)");
   ASSERT_TRUE(body.ok());
   EXPECT_FALSE(AnswerQuery(p, edb, *body, {Term::Sym("a")}).ok());
+}
+
+TEST(QueryTest, ToStringGolden) {
+  // Server responses and the benchmark's answer check parse this
+  // format; the expected strings were captured from the stream-based
+  // renderer this one replaced, so any byte change is a regression.
+  QueryResult result;
+  result.variables = {InternSymbol("X"), InternSymbol("Name"),
+                      InternSymbol("Z")};
+  result.tuples = {
+      {Term::Int(-42), Term::Sym("bob"), Term::Sym("Hello world")},
+      {Term::Int(std::numeric_limits<int64_t>::min()), Term::Sym("a_1"),
+       Term::Sym("")},
+      {Term::Int(0), Term::Sym("Alice"),
+       Term::Int(std::numeric_limits<int64_t>::max())},
+      {Term::Int(7), Term::Sym("x-y"), Term::Sym("9lives")},
+  };
+  EXPECT_EQ(result.ToString(),
+            "X=-42, Name=bob, Z='Hello world'\n"
+            "X=-9223372036854775808, Name=a_1, Z=''\n"
+            "X=0, Name='Alice', Z=9223372036854775807\n"
+            "X=7, Name='x-y', Z='9lives'\n");
+
+  // AppendTo extends what is already there.
+  std::string out = "head:";
+  result.tuples.resize(1);
+  result.AppendTo(&out);
+  EXPECT_EQ(out, "head:X=-42, Name=bob, Z='Hello world'\n");
+
+  // A closed query (no variables) renders one empty line per row.
+  QueryResult closed;
+  closed.tuples = {Tuple{}, Tuple{}};
+  EXPECT_EQ(closed.ToString(), "\n\n");
+
+  // No rows, no output, with or without variables.
+  QueryResult empty;
+  EXPECT_EQ(empty.ToString(), "");
+  empty.variables = {InternSymbol("X")};
+  EXPECT_EQ(empty.ToString(), "");
 }
 
 TEST(ConstraintCheckTest, SatisfactionWithHead) {

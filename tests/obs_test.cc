@@ -682,6 +682,29 @@ TEST(EvalObsTest, SerialCollectMetricsFillsPerRule) {
   EXPECT_TRUE(plain.round_balance.empty());
 }
 
+TEST(EvalObsTest, BalanceRowsOnlyWhenMoreThanOneLaneRuns) {
+  Program program = MustParse(kTransitiveClosure);
+  program.AutoLabelRules();
+  Database edb = MustParseFacts(kChainFacts);
+  EvalOptions options;
+  options.collect_metrics = true;
+  options.num_threads = 1;
+  EvalStats one_lane;
+  ASSERT_TRUE(Evaluate(program, edb, options, &one_lane).ok());
+  ASSERT_FALSE(one_lane.rounds.empty());
+  EXPECT_TRUE(one_lane.round_balance.empty());
+
+  options.num_threads = 4;
+  EvalStats four_lanes;
+  ASSERT_TRUE(Evaluate(program, edb, options, &four_lanes).ok());
+  ASSERT_FALSE(four_lanes.rounds.empty());
+  ASSERT_EQ(four_lanes.round_balance.size(), four_lanes.rounds.size());
+  for (size_t i = 0; i < four_lanes.rounds.size(); ++i) {
+    EXPECT_EQ(four_lanes.round_balance[i].round, four_lanes.rounds[i].round);
+    EXPECT_EQ(four_lanes.round_balance[i].workers, 4u);
+  }
+}
+
 TEST(EvalObsTest, ParallelCollectMetricsFillsBalance) {
   Program program = MustParse(kTransitiveClosure);
   program.AutoLabelRules();

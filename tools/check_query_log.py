@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Assert a structured query log is valid JSONL with the expected shape.
 
-Usage: check_query_log.py QUERY_LOG SLOW_LOG EXPECTED_RECORDS EXPECTED_SESSIONS
+Usage: check_query_log.py QUERY_LOG SLOW_LOG|- EXPECTED_RECORDS EXPECTED_SESSIONS
 
-Checks (used by the CI server-smoke leg after driving N concurrent
-clients against semopt_server --query-log/--slow-log):
+Checks a server log (the CI server-smoke leg drives N concurrent
+clients against semopt_server --query-log/--slow-log) or a shell
+session's `:qlog` file (pass `-` for SLOW_LOG: a shell has no slow log):
 
   - every line parses as JSON and carries the stable breakdown keys;
   - exactly EXPECTED_RECORDS records, with unique qids and
@@ -13,15 +14,16 @@ clients against semopt_server --query-log/--slow-log):
   - every record names its query path (edb, pushed, magic, sliced; ""
     when the query failed before one was chosen), and the admission
     class follows it: light iff the path is edb;
-  - heavy-class records ran a fixpoint (iterations > 0) and carry
-    per-round entries;
+  - a server log (some record has a non-empty class; a shell has no
+    scheduler, so its classes are empty) holds heavy-class records, and
+    each ran a fixpoint (iterations > 0) and carries per-round entries;
   - every ok record is internally consistent: one rounds[] entry per
     iteration, fixpoint_us <= eval_us (the fixpoint runs inside the
     query-path call), and, off the edb path, the rounds' derived counts
     sum to the record's derived (the edb path counts its answers as
     derived without running a round);
   - with the slow threshold armed below every query's latency, the slow
-    log mirrors every record.
+    log (when given) mirrors every record.
 """
 
 import json
@@ -99,8 +101,9 @@ def main(argv):
             print(f"check_query_log: rounds do not sum to derived: {r}",
                   file=sys.stderr)
             return 1
+    scheduled = any(r["class"] for r in records)
     heavy = [r for r in records if r["class"] == "heavy"]
-    if not heavy:
+    if scheduled and not heavy:
         print("check_query_log: no heavy-class records", file=sys.stderr)
         return 1
     for r in heavy:
@@ -109,13 +112,15 @@ def main(argv):
                   f" {r}", file=sys.stderr)
             return 1
 
-    slow = sum(1 for _ in open(slow_path))
+    slow = len(records) if slow_path == "-" else \
+        sum(1 for _ in open(slow_path))
     if slow != len(records):
         print(f"check_query_log: slow log has {slow} records, expected"
               f" {len(records)}", file=sys.stderr)
         return 1
+    slow_note = "no slow log" if slow_path == "-" else f"{slow} slow"
     print(f"check_query_log: OK ({len(records)} records, {len(sids)}"
-          f" sessions, {len(heavy)} heavy, {slow} slow)")
+          f" sessions, {len(heavy)} heavy, {slow_note})")
     return 0
 
 
