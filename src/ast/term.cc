@@ -32,21 +32,14 @@ std::string Term::ToString() const {
       // Symbols that would not lex as identifiers print quoted so the
       // output round-trips through the parser.
       return IsPlainSymbol(name()) ? name() : "'" + name() + "'";
-    case TermKind::kIntConst:
-      return std::to_string(payload_);
+    case TermKind::kIntConst: {
+      char buf[24];  // INT64_MIN is 20 characters
+      const std::to_chars_result r =
+          std::to_chars(buf, buf + sizeof(buf), payload_);
+      return std::string(buf, r.ptr);
+    }
   }
   return "<bad term>";
-}
-
-void Term::AppendTo(std::string* out) const {
-  if (kind_ != TermKind::kIntConst) {
-    *out += ToString();
-    return;
-  }
-  char buf[24];  // INT64_MIN is 20 characters
-  const std::to_chars_result r =
-      std::to_chars(buf, buf + sizeof(buf), payload_);
-  out->append(buf, r.ptr);
 }
 
 std::ostream& operator<<(std::ostream& os, const Term& term) {

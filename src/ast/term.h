@@ -72,9 +72,6 @@ class Term {
   /// integers in decimal.
   std::string ToString() const;
 
-  /// Appends ToString()'s text to `out`; integers render in place.
-  void AppendTo(std::string* out) const;
-
   size_t Hash() const {
     size_t seed = static_cast<size_t>(kind_);
     HashCombine(&seed, payload_);

@@ -88,13 +88,8 @@ Result<RuleExecutor::PreparedPlan> PlanCache::Get(
   SEMOPT_ASSIGN_OR_RETURN(
       RuleExecutor::PreparedPlan plan,
       exec.Prepare(source, delta_literal, partitioned));
-  if (it != entries_.end()) {
-    // Fingerprint collision: the slot now belongs to this rule.
-    it->second.rule = exec.rule();
-    it->second.plan = plan;
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    return plan;
-  }
+  // A fingerprint collision is a miss that leaves the resident entry be.
+  if (it != entries_.end()) return plan;
   auto [inserted_it, _] =
       entries_.emplace(std::move(key), Entry{exec.rule(), plan, {}});
   lru_.push_front(&inserted_it->first);

@@ -70,10 +70,10 @@ class PlanCacheInterface {
 /// executor), so a lookup hashes nothing and renders nothing; each
 /// entry keeps its rule, and a hit is taken only when that rule equals
 /// the caller's (Rule::operator==, labels ignored). A fingerprint
-/// collision is therefore a miss that re-plans and replaces the entry,
-/// never another rule's plan. Correctness is unconditional: every BuildPlan
-/// output derives the same tuples regardless of data, so a stale band
-/// costs performance only. Single-threaded coordinator use, like
+/// collision is therefore a miss that re-plans and leaves the resident
+/// entry be, never another rule's plan. Correctness is unconditional:
+/// every BuildPlan output derives the same tuples regardless of data, so
+/// a stale band costs performance only. Single-threaded coordinator use, like
 /// Prepare; for cross-session sharing wrap shards of these in a
 /// SharedPlanCache.
 ///

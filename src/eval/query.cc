@@ -28,7 +28,7 @@ void QueryResult::AppendTo(std::string* out) const {
   for (const Tuple& row : tuples) {
     for (size_t i = 0; i < prefixes.size(); ++i) {
       *out += prefixes[i];
-      row[i].AppendTo(out);
+      *out += row[i].ToString();
     }
     *out += '\n';
   }

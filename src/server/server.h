@@ -37,7 +37,7 @@ namespace semopt {
 /// reports the port, spawns the accept loop), Stop() (stops accepting,
 /// shuts down live connections, joins every session thread). The
 /// destructor calls Stop(). Under glibc, the first Start() also pins
-/// the process's malloc mmap threshold (4 MiB), so relation-sized
+/// the process's malloc mmap threshold (1 MiB), so relation-sized
 /// buffers are returned to the OS when the generation holding them is
 /// reclaimed instead of fragmenting the allocator's heaps.
 class QueryServer {

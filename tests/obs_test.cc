@@ -675,34 +675,14 @@ TEST(EvalObsTest, SerialCollectMetricsFillsPerRule) {
     derived_total += rs.derived;
   }
   EXPECT_EQ(derived_total, stats.derived_tuples);
+  // Balance rows need more than one lane.
+  ASSERT_FALSE(stats.rounds.empty());
+  EXPECT_TRUE(stats.round_balance.empty());
   // Default path stays lean.
   EvalStats plain;
   ASSERT_TRUE(Evaluate(program, edb, EvalOptions(), &plain).ok());
   EXPECT_TRUE(plain.per_rule.empty());
   EXPECT_TRUE(plain.round_balance.empty());
-}
-
-TEST(EvalObsTest, BalanceRowsOnlyWhenMoreThanOneLaneRuns) {
-  Program program = MustParse(kTransitiveClosure);
-  program.AutoLabelRules();
-  Database edb = MustParseFacts(kChainFacts);
-  EvalOptions options;
-  options.collect_metrics = true;
-  options.num_threads = 1;
-  EvalStats one_lane;
-  ASSERT_TRUE(Evaluate(program, edb, options, &one_lane).ok());
-  ASSERT_FALSE(one_lane.rounds.empty());
-  EXPECT_TRUE(one_lane.round_balance.empty());
-
-  options.num_threads = 4;
-  EvalStats four_lanes;
-  ASSERT_TRUE(Evaluate(program, edb, options, &four_lanes).ok());
-  ASSERT_FALSE(four_lanes.rounds.empty());
-  ASSERT_EQ(four_lanes.round_balance.size(), four_lanes.rounds.size());
-  for (size_t i = 0; i < four_lanes.rounds.size(); ++i) {
-    EXPECT_EQ(four_lanes.round_balance[i].round, four_lanes.rounds[i].round);
-    EXPECT_EQ(four_lanes.round_balance[i].workers, 4u);
-  }
 }
 
 TEST(EvalObsTest, ParallelCollectMetricsFillsBalance) {
@@ -716,7 +696,10 @@ TEST(EvalObsTest, ParallelCollectMetricsFillsBalance) {
   Result<Database> idb = Evaluate(program, edb, options, &stats);
   ASSERT_TRUE(idb.ok()) << idb.status();
   ASSERT_FALSE(stats.round_balance.empty());
-  for (const RoundBalance& rb : stats.round_balance) {
+  ASSERT_EQ(stats.round_balance.size(), stats.rounds.size());
+  for (size_t i = 0; i < stats.round_balance.size(); ++i) {
+    const RoundBalance& rb = stats.round_balance[i];
+    EXPECT_EQ(rb.round, stats.rounds[i].round);
     EXPECT_EQ(rb.workers, 2u);
     EXPECT_LE(rb.min_tuples, rb.max_tuples);
     EXPECT_LE(rb.max_tuples, rb.total_tuples);

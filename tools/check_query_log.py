@@ -12,11 +12,12 @@ session's `:qlog` file (pass `-` for SLOW_LOG: a shell has no slow log):
     EXPECTED_SESSIONS distinct sids (concurrent sessions never tear or
     drop lines);
   - every record names its query path (edb, pushed, magic, sliced; ""
-    when the query failed before one was chosen), and the admission
-    class follows it: light iff the path is edb;
-  - a server log (some record has a non-empty class; a shell has no
-    scheduler, so its classes are empty) holds heavy-class records, and
-    each ran a fixpoint (iterations > 0) and carries per-round entries;
+    when the query failed before one was chosen);
+  - in a server log every record with a path carries the admission class
+    that follows it (light iff the path is edb), and heavy-class records
+    are present, each ran a fixpoint (iterations > 0) and carries
+    per-round entries; a shell has no scheduler, so every class in its
+    log is empty;
   - every ok record is internally consistent: one rounds[] entry per
     iteration, fixpoint_us <= eval_us (the fixpoint runs inside the
     query-path call), and, off the edb path, the rounds' derived counts
@@ -45,6 +46,7 @@ def main(argv):
         return 2
     log_path, slow_path = argv[1], argv[2]
     expected_records, expected_sessions = int(argv[3]), int(argv[4])
+    server = slow_path != "-"
 
     records = []
     with open(log_path) as f:
@@ -80,8 +82,14 @@ def main(argv):
             print(f"check_query_log: unknown query path: {r}",
                   file=sys.stderr)
             return 1
-        if r["path"] and r["class"] and \
-                (r["class"] == "light") != (r["path"] == "edb"):
+        if not server:
+            if r["class"]:
+                print(f"check_query_log: shell record with a class: {r}",
+                      file=sys.stderr)
+                return 1
+            continue
+        expected_class = "light" if r["path"] == "edb" else "heavy"
+        if r["path"] and r["class"] != expected_class:
             print(f"check_query_log: class does not follow the path: {r}",
                   file=sys.stderr)
             return 1
@@ -101,9 +109,8 @@ def main(argv):
             print(f"check_query_log: rounds do not sum to derived: {r}",
                   file=sys.stderr)
             return 1
-    scheduled = any(r["class"] for r in records)
     heavy = [r for r in records if r["class"] == "heavy"]
-    if scheduled and not heavy:
+    if server and not heavy:
         print("check_query_log: no heavy-class records", file=sys.stderr)
         return 1
     for r in heavy:
@@ -112,13 +119,12 @@ def main(argv):
                   f" {r}", file=sys.stderr)
             return 1
 
-    slow = len(records) if slow_path == "-" else \
-        sum(1 for _ in open(slow_path))
+    slow = sum(1 for _ in open(slow_path)) if server else len(records)
     if slow != len(records):
         print(f"check_query_log: slow log has {slow} records, expected"
               f" {len(records)}", file=sys.stderr)
         return 1
-    slow_note = "no slow log" if slow_path == "-" else f"{slow} slow"
+    slow_note = f"{slow} slow" if server else "no slow log"
     print(f"check_query_log: OK ({len(records)} records, {len(sids)}"
           f" sessions, {len(heavy)} heavy, {slow_note})")
     return 0
