@@ -9,14 +9,14 @@
 //   - BM_Updates_Recompute: the pre-IVM behaviour — every batch mutates
 //     the EDB and re-runs the full fixpoint.
 //   - BM_Updates_Published: the same incremental batches end to end the
-//     way the server runs them — MaterializedView::Apply inside a
-//     SnapshotStore::ApplyDelta write, publishing each batch's net delta
-//     as a new generation — while one reader loop keeps pinning the
-//     head. Its batch latency next to the Incremental leg's is the cost
-//     of publishing; `clones_per_batch` (relations deep-copied per
-//     write) should stay ~0 and `reused_per_batch` count the kept
-//     copies the store recycled instead; `query_p50_us` times the
-//     reader's pin-and-probe.
+//     way the server runs them — IncrementalEvaluator::ApplyUpdates
+//     inside a SnapshotStore::ApplyDelta write, publishing each batch's
+//     net delta as a new generation — while one reader loop keeps
+//     pinning the head. Its batch latency next to the Incremental leg's
+//     is the cost of publishing; `clones_per_batch` (relations
+//     deep-copied per write) should stay ~0 and `reused_per_batch`
+//     count the kept copies the store recycled instead; `query_p50_us`
+//     times the reader's pin-and-probe.
 // The first two legs publish nothing, so their batch time is pure
 // maintenance.
 // The acceptance bar (EXPERIMENTS.md E14): incremental ≥10× recompute
@@ -51,7 +51,6 @@
 #include "bench_common.h"
 #include "eval/incremental.h"
 #include "io/binary_io.h"
-#include "server/materialized_view.h"
 #include "storage/database.h"
 #include "storage/snapshot.h"
 #include "util/hash_util.h"
@@ -218,7 +217,7 @@ void RunUpdateBench(::benchmark::State& state, bool incremental) {
                 }
                 if (measured) steady_ivm.Add(*applied);
               } else {
-                Result<DatabaseDelta> delta = EdbBatchDelta(edb, adds, dels);
+                Result<DatabaseDelta> delta = StageBatch(edb, adds, dels);
                 if (!delta.ok()) {
                   failed.store(true);
                   break;
@@ -290,9 +289,9 @@ void RunUpdateBench(::benchmark::State& state, bool incremental) {
 }
 
 /// The published leg: `sessions` writer threads stream batches through
-/// MaterializedView::Apply inside SnapshotStore::ApplyDelta (the
-/// server's write path), while one reader thread loops pinning the head
-/// and probing the maintained relations.
+/// IncrementalEvaluator::ApplyUpdates inside SnapshotStore::ApplyDelta
+/// (the server's write path), while one reader thread loops pinning the
+/// head and probing the maintained relations.
 void BM_Updates_Published(::benchmark::State& state) {
   const UpdateStreamParams params = ParamsFor(state.range(0));
   const int sessions = static_cast<int>(state.range(1));
@@ -309,15 +308,15 @@ void BM_Updates_Published(::benchmark::State& state) {
 
   // Initial materialization (untimed), published the way `.materialize`
   // does it: one bulk write that copies the view's IDB into the head.
-  Result<std::unique_ptr<MaterializedView>> view = MaterializedView::Create(
-      *program, base, EvalOptions(), MaterializedView::Mode::kIncremental);
+  Result<IncrementalEvaluator> view =
+      IncrementalEvaluator::Create(*program, base.CloneShared());
   if (!view.ok()) {
     state.SkipWithError(view.status().ToString().c_str());
     return;
   }
   SnapshotStore store(std::move(base));
   if (!store.Mutate([&](Database* db) {
-             db->CopyRelationsFrom((*view)->idb());
+             db->CopyRelationsFrom(view->idb());
              return Status::Ok();
            }).ok()) {
     state.SkipWithError("initial publish failed");
@@ -373,8 +372,9 @@ void BM_Updates_Published(::benchmark::State& state) {
             Result<uint64_t> epoch = store.ApplyDelta(
                 [&](const Database&) -> Result<DatabaseDelta> {
                   DatabaseDelta delta;
-                  SEMOPT_ASSIGN_OR_RETURN(IvmStats applied,
-                                          (*view)->Apply(adds, dels, &delta));
+                  SEMOPT_ASSIGN_OR_RETURN(
+                      IvmStats applied,
+                      view->ApplyUpdates(adds, dels, nullptr, &delta));
                   // Runs under the store's writer lock: serialized.
                   if (measured) steady_ivm.Add(applied);
                   return delta;

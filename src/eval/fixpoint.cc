@@ -1,24 +1,11 @@
 #include "eval/fixpoint.h"
 
-#include <chrono>
-
 #include "exec/parallel_fixpoint.h"
 #include "obs/trace.h"
 #include "util/simd.h"
 #include "util/string_util.h"
 
 namespace semopt {
-
-namespace {
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 Status ValidateEvalOptions(const EvalOptions& options) {
   if (options.batch_size == 0) {
@@ -73,9 +60,9 @@ Result<Database> Evaluate(const Program& program, const Database& edb,
   // Coordinator-thread query attribution; the engine re-opens the scope
   // on each worker lane.
   obs::QueryIdScope qid_scope(options.query_id);
-  const uint64_t start_ns = NowNs();
+  const uint64_t start_ns = obs::MonotonicNowNs();
   Result<Database> result = EvaluateMorsels(program, edb, options, stats);
-  if (stats != nullptr) stats->eval_ns += NowNs() - start_ns;
+  if (stats != nullptr) stats->eval_ns += obs::MonotonicNowNs() - start_ns;
   return result;
 }
 

@@ -1,6 +1,5 @@
 #include "eval/incremental.h"
 
-#include <chrono>
 #include <map>
 #include <memory>
 #include <set>
@@ -9,6 +8,8 @@
 #include <vector>
 
 #include "analysis/dependency_graph.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/string_util.h"
 
 namespace semopt {
@@ -52,13 +53,6 @@ class IvmSource : public RelationSource {
   std::map<PredicateId, const Relation*> overrides_;
   std::map<PredicateId, const Relation*> deltas_;
 };
-
-uint64_t NowUs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Interns the synthetic view predicate `<prefix><name>` of the same
 /// arity as `p`. Stable across batches (the interner is a process-wide
@@ -137,20 +131,6 @@ void BufferRows(const Relation& rel, TupleBuffer* out) {
   for (RowRef row : rel.rows()) out->Append(row);
 }
 
-/// Converts a ground fact atom to a stored tuple.
-Result<Tuple> FactTuple(const Atom& fact) {
-  Tuple tuple;
-  tuple.reserve(fact.args().size());
-  for (const Term& t : fact.args()) {
-    if (!t.IsConstant()) {
-      return Status::InvalidArgument(
-          StrCat("fact is not ground: ", fact.ToString()));
-    }
-    tuple.push_back(t);
-  }
-  return tuple;
-}
-
 }  // namespace
 
 void IvmStats::Add(const IvmStats& other) {
@@ -165,20 +145,32 @@ void IvmStats::Add(const IvmStats& other) {
   maintenance_us += other.maintenance_us;
 }
 
-void IvmStats::PublishTo(obs::MetricsRegistry& registry,
-                         std::string_view prefix) const {
-  auto add = [&](const char* name, uint64_t v) {
-    if (v != 0) registry.GetCounter(StrCat(prefix, ".", name)).Add(v);
+void IvmStats::Publish() const {
+  // Counters are registry-owned and never freed: resolve them once.
+  auto counter = [](const char* name) -> obs::Counter& {
+    return obs::MetricsRegistry::Global().GetCounter(name);
   };
-  add("batches", batches);
-  add("edb_deleted", edb_deleted);
-  add("edb_inserted", edb_inserted);
-  add("overdeleted", overdeleted);
-  add("rederived", rederived);
-  add("recounted", recounted);
-  add("net_deleted", net_deleted);
-  add("net_inserted", net_inserted);
-  add("maintenance_us", maintenance_us);
+  static obs::Counter& c_batches = counter("eval.ivm.batches");
+  static obs::Counter& c_edb_deleted = counter("eval.ivm.edb_deleted");
+  static obs::Counter& c_edb_inserted = counter("eval.ivm.edb_inserted");
+  static obs::Counter& c_overdeleted = counter("eval.ivm.overdeleted");
+  static obs::Counter& c_rederived = counter("eval.ivm.rederived");
+  static obs::Counter& c_recounted = counter("eval.ivm.recounted");
+  static obs::Counter& c_net_deleted = counter("eval.ivm.net_deleted");
+  static obs::Counter& c_net_inserted = counter("eval.ivm.net_inserted");
+  static obs::Counter& c_maintenance_us = counter("eval.ivm.maintenance_us");
+  auto add = [](obs::Counter& c, uint64_t v) {
+    if (v != 0) c.Add(v);
+  };
+  add(c_batches, batches);
+  add(c_edb_deleted, edb_deleted);
+  add(c_edb_inserted, edb_inserted);
+  add(c_overdeleted, overdeleted);
+  add(c_rederived, rederived);
+  add(c_recounted, recounted);
+  add(c_net_deleted, net_deleted);
+  add(c_net_inserted, net_inserted);
+  add(c_maintenance_us, maintenance_us);
 }
 
 std::string IvmStats::ToString() const {
@@ -408,79 +400,45 @@ Status IncrementalEvaluator::InitCounts(Stratum& stratum, EvalStats* stats) {
 Result<IvmStats> IncrementalEvaluator::ApplyUpdates(
     const std::vector<Atom>& adds, const std::vector<Atom>& dels,
     EvalStats* stats, DatabaseDelta* delta) {
-  const uint64_t start_us = NowUs();
+  const uint64_t start_ns = obs::MonotonicNowNs();
   IvmStats batch;
   batch.batches = 1;
 
-  // Stage the batch against the EDB: deletions first, then insertions,
-  // with set semantics on both sides. `dminus`/`dplus` accumulate the
-  // per-predicate net deltas — EDB changes now, each stratum's IDB
-  // changes as the batch climbs. Every fact is validated before the
-  // EDB changes, so a rejected batch leaves the evaluator untouched.
+  // Every fact is validated before the EDB changes, so a rejected batch
+  // leaves the evaluator untouched: IDB predicates here, non-ground
+  // facts in StageBatch.
+  for (const std::vector<Atom>* facts : {&adds, &dels}) {
+    for (const Atom& fact : *facts) {
+      if (idb_preds_.count(fact.pred_id()) > 0) {
+        return Status::InvalidArgument(
+            StrCat("cannot write IDB predicate ", fact.pred_id().ToString(),
+                   ": derived tuples change only through their rules"));
+      }
+    }
+  }
+  SEMOPT_ASSIGN_OR_RETURN(DatabaseDelta staged,
+                          StageBatch(edb_, adds, dels));
+
+  // Apply the staged EDB change and seed `dminus`/`dplus` with it; they
+  // accumulate the per-predicate net deltas as the batch climbs the
+  // strata. A relation borrowed from the caller's database is copied
+  // before its first write; everything else is ours to write in place.
   DeltaMap dminus;
   DeltaMap dplus;
-  std::vector<Tuple> add_tuples;
-  add_tuples.reserve(adds.size());
-  for (const Atom& fact : adds) {
-    if (idb_preds_.count(fact.pred_id()) > 0) {
-      return Status::InvalidArgument(
-          StrCat("cannot insert into IDB predicate ",
-                 fact.pred_id().ToString(),
-                 ": derived tuples change only through their rules"));
+  for (const auto& [pred, change] : staged) {
+    change.ApplyTo(borrowed_.erase(pred) > 0 ? &edb_.Unshare(pred)
+                                             : &edb_.GetOrCreate(pred));
+    if (!change.erased.empty()) {
+      DeltaFor(&dminus, pred)->Commit(change.erased, nullptr);
+      batch.edb_deleted += change.erased.size();
     }
-    SEMOPT_ASSIGN_OR_RETURN(Tuple tuple, FactTuple(fact));
-    add_tuples.push_back(std::move(tuple));
-  }
-  for (const Atom& fact : dels) {
-    const PredicateId pred = fact.pred_id();
-    if (idb_preds_.count(pred) > 0) {
-      return Status::InvalidArgument(
-          StrCat("cannot delete from IDB predicate ", pred.ToString(),
-                 ": derived tuples change only through their rules"));
-    }
-    SEMOPT_ASSIGN_OR_RETURN(Tuple tuple, FactTuple(fact));
-    const Relation* rel = edb_.Find(pred);
-    if (rel == nullptr || !rel->Contains(tuple)) continue;
-    DeltaFor(&dminus, pred)->Insert(tuple);
-  }
-  // A relation borrowed from the caller's database is copied before its
-  // first write; everything else is ours to write in place.
-  auto writable = [this](const PredicateId& pred) -> Relation& {
-    if (borrowed_.erase(pred) > 0) return edb_.Unshare(pred);
-    return edb_.GetOrCreate(pred);
-  };
-  for (auto& [pred, rel] : dminus) {
-    TupleBuffer victims(rel->arity());
-    BufferRows(*rel, &victims);
-    batch.edb_deleted += writable(pred).Erase(victims);
-  }
-  for (size_t i = 0; i < adds.size(); ++i) {
-    const PredicateId pred = adds[i].pred_id();
-    if (writable(pred).Insert(add_tuples[i])) {
-      DeltaFor(&dplus, pred)->Insert(add_tuples[i]);
-      ++batch.edb_inserted;
-    }
-  }
-  // A tuple deleted and re-inserted in one batch ends where it started:
-  // drop it from both sides so downstream strata never see it.
-  for (auto& [pred, dm] : dminus) {
-    auto it = dplus.find(pred);
-    if (it == dplus.end()) continue;
-    Relation* dp = it->second.get();
-    TupleBuffer common(dm->arity());
-    for (RowRef row : dm->rows()) {
-      if (dp->Contains(row)) common.Append(row);
-    }
-    if (!common.empty()) {
-      batch.edb_deleted -= dm->Erase(common);
-      batch.edb_inserted -= dp->Erase(common);
+    if (!change.inserted.empty()) {
+      DeltaFor(&dplus, pred)->Commit(change.inserted, nullptr);
+      batch.edb_inserted += change.inserted.size();
     }
   }
 
-  bool any_change = false;
-  for (const auto& [pred, rel] : dminus) any_change |= !rel->empty();
-  for (const auto& [pred, rel] : dplus) any_change |= !rel->empty();
-  if (any_change) {
+  if (!staged.empty()) {
     for (Stratum& s : strata_) {
       SEMOPT_RETURN_IF_ERROR(
           MaintainStratum(s, &dminus, &dplus, &batch, stats));
@@ -502,9 +460,9 @@ Result<IvmStats> IncrementalEvaluator::ApplyUpdates(
     hand_back(dplus, /*inserted=*/true);
   }
 
-  batch.maintenance_us = NowUs() - start_us;
+  batch.maintenance_us = (obs::MonotonicNowNs() - start_ns) / 1000;
   totals_.Add(batch);
-  batch.PublishTo(obs::MetricsRegistry::Global());
+  batch.Publish();
   return batch;
 }
 

@@ -14,7 +14,6 @@
 #include "obs/eval_stats.h"
 #include "eval/fixpoint.h"
 #include "eval/plan_cache.h"
-#include "obs/metrics.h"
 #include "storage/database.h"
 #include "util/result.h"
 
@@ -49,11 +48,9 @@ struct IvmStats {
 
   void Add(const IvmStats& other);
 
-  /// Folds the counters into `registry` as "<prefix>.batches",
-  /// "<prefix>.overdeleted", ... (ApplyUpdates publishes each batch to
-  /// MetricsRegistry::Global() under "eval.ivm").
-  void PublishTo(obs::MetricsRegistry& registry,
-                 std::string_view prefix = "eval.ivm") const;
+  /// Adds the counters to the process-wide "eval.ivm.batches",
+  /// "eval.ivm.overdeleted", ... (ApplyUpdates publishes each batch).
+  void Publish() const;
 
   /// One-line "key=value" summary in declaration order.
   std::string ToString() const;
@@ -91,9 +88,11 @@ class IncrementalEvaluator {
   ///
   /// Materializes the initial fixpoint (through the standard Evaluate
   /// engine, so `options.num_threads` etc. apply) and compiles the
-  /// maintenance rule sets. Programs with stratified negation are
-  /// accepted; an unstratifiable program fails with InvalidArgument
-  /// naming the offending negated literal. `options` is retained for
+  /// maintenance rule sets. It accepts exactly the programs Evaluate
+  /// accepts — so does `.materialize`, which installs one of these in
+  /// the server's write path: stratified negation is fine, and an
+  /// unstratifiable program fails with InvalidArgument naming the
+  /// offending negated literal. `options` is retained for
   /// maintenance joins (batch size, SIMD mode, plan cache);
   /// maintenance itself runs on the calling thread — deltas are small
   /// by design, so the morsel engine's fan-out overhead is not worth
@@ -105,19 +104,20 @@ class IncrementalEvaluator {
   IncrementalEvaluator(IncrementalEvaluator&&) = default;
   IncrementalEvaluator& operator=(IncrementalEvaluator&&) = default;
 
-  /// Applies one batch of ground EDB facts — `dels` removed first, then
-  /// `adds` inserted (a tuple in both ends up present) — and propagates
-  /// the consequences so that afterwards `idb()` equals the from-scratch
-  /// fixpoint over the new `edb()` exactly. Duplicate facts within a
-  /// batch, deletions of absent tuples and insertions of present ones
-  /// are no-ops. Facts over IDB predicates (and non-ground facts) are
-  /// rejected before anything changes (derived relations change only
-  /// through their rules). Returns the batch's IvmStats; `stats`
-  /// (optional) additionally accumulates the join work of the
-  /// maintenance rule executions, and `delta` (optional) receives the
-  /// batch's net change per predicate — EDB and IDB, erased and
-  /// inserted rows — which is O(|Δ|) to hand back and exactly what a
-  /// published copy of edb() + idb() needs to catch up.
+  /// Applies one batch of ground EDB facts, staged by StageBatch —
+  /// `dels` removed first, then `adds` inserted (a tuple in both ends up
+  /// present) — and propagates the consequences so that afterwards
+  /// `idb()` equals the from-scratch fixpoint over the new `edb()`
+  /// exactly. Duplicate facts within a batch, deletions of absent tuples
+  /// and insertions of present ones are no-ops. Facts over IDB
+  /// predicates (and non-ground facts) are rejected before anything
+  /// changes (derived relations change only through their rules).
+  /// Returns the batch's IvmStats; `stats` (optional) additionally
+  /// accumulates the join work of the maintenance rule executions, and
+  /// `delta` (optional) receives the batch's net change per predicate —
+  /// EDB and IDB, erased and inserted rows — which is O(|Δ|) to hand
+  /// back and exactly what a published copy of edb() + idb() needs to
+  /// catch up.
   Result<IvmStats> ApplyUpdates(const std::vector<Atom>& adds,
                                 const std::vector<Atom>& dels,
                                 EvalStats* stats = nullptr,

@@ -1,7 +1,6 @@
 #include "exec/parallel_fixpoint.h"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <memory>
 #include <set>
@@ -36,13 +35,6 @@ size_t ResolveMorselSize(const EvalOptions& options) {
 }
 
 namespace {
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Read-only view over the frozen EDB + IDB with at most one delta
 /// binding: the frozen delta relation an execution reads at its delta
@@ -187,7 +179,7 @@ Status RunRound(
   const std::set<PredicateId>& idb_preds = engine.idb_preds;
   const EvalOptions& options = engine.options;
   EvalStats* stats = engine.stats;
-  const uint64_t round_start_ns = NowNs();
+  const uint64_t round_start_ns = obs::MonotonicNowNs();
   // Appends the finished round to the stats timeline (always when stats
   // are collected; feeds the per-query log).
   auto record_round = [&](size_t delta_out, size_t derived) {
@@ -195,7 +187,7 @@ Status RunRound(
     RoundTiming rt;
     rt.stratum = stratum;
     rt.round = round;
-    rt.ns = NowNs() - round_start_ns;
+    rt.ns = obs::MonotonicNowNs() - round_start_ns;
     rt.delta_in = delta_in;
     rt.delta_out = delta_out;
     rt.derived = derived;
@@ -305,7 +297,7 @@ Status RunRound(
           // carry the query id of the evaluation that scheduled it.
           obs::QueryIdScope qid_scope(options.query_id);
           const uint64_t morsel_start_ns =
-              options.collect_metrics ? NowNs() : 0;
+              options.collect_metrics ? obs::MonotonicNowNs() : 0;
           ++ws.morsels;
           // A steal is a morsel claimed by a lane other than the one a
           // static contiguous split would have assigned it to — the
@@ -338,7 +330,7 @@ Status RunRound(
               &ws.stats, options.batch_size, m.begin, m.end, &ws.scratch,
               ResolveSimdMode(options.simd));
           if (options.collect_metrics) {
-            ws.exec_ns[m.exec_index] += NowNs() - morsel_start_ns;
+            ws.exec_ns[m.exec_index] += obs::MonotonicNowNs() - morsel_start_ns;
           }
           return Status::Ok();
         }));
@@ -462,7 +454,7 @@ Status CheckRoundBudgets(size_t iterations, uint64_t eval_start_ns,
                options.max_iterations));
   }
   if (options.budget_us > 0) {
-    const uint64_t elapsed_us = (NowNs() - eval_start_ns) / 1000;
+    const uint64_t elapsed_us = (obs::MonotonicNowNs() - eval_start_ns) / 1000;
     if (elapsed_us > options.budget_us) {
       return Status::FailedPrecondition(
           StrCat("evaluation exceeded budget_us=", options.budget_us,
@@ -478,7 +470,7 @@ Result<Database> EvaluateMorsels(const Program& program, const Database& edb,
                                  const EvalOptions& options,
                                  EvalStats* stats) {
   obs::TraceSpan eval_span("eval");
-  const uint64_t eval_start_ns = NowNs();
+  const uint64_t eval_start_ns = obs::MonotonicNowNs();
 
   ThreadPool pool(ResolveNumThreads(options));
   eval_span.AddArg("threads", static_cast<int64_t>(pool.num_threads()));

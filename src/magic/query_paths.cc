@@ -1,7 +1,6 @@
 #include "magic/query_paths.h"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <set>
 
@@ -17,13 +16,6 @@ namespace {
 
 constexpr std::string_view kAnswerPredicate = "query$answer";
 constexpr std::string_view kSeedPredicate = "query$seed";
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// `lit` with every term replaced by `f(term)`.
 template <typename F>
@@ -315,7 +307,7 @@ Result<QueryResult> RunEdbPlan(const QueryPlan& plan, const Database& db,
   SEMOPT_RETURN_IF_ERROR(ValidateEvalOptions(options));
   obs::ScopedTraceFile trace_file(options.trace_path);
   obs::TraceSpan span("query.edb");
-  const uint64_t start_ns = NowNs();
+  const uint64_t start_ns = obs::MonotonicNowNs();
   const Rule& rule = plan.program.rules().front();
   SEMOPT_ASSIGN_OR_RETURN(RuleExecutor exec, RuleExecutor::Create(rule));
   DatabaseSource source(&db);
@@ -338,7 +330,7 @@ Result<QueryResult> RunEdbPlan(const QueryPlan& plan, const Database& db,
       stats, options.batch_size, 0, RuleExecutor::kNoMorsel, nullptr,
       ResolveSimdMode(options.simd));
   if (stats != nullptr) {
-    const uint64_t ns = NowNs() - start_ns;
+    const uint64_t ns = obs::MonotonicNowNs() - start_ns;
     stats->derived_tuples += derived;
     stats->duplicate_tuples += duplicates;
     stats->eval_ns += ns;

@@ -2,7 +2,6 @@
 
 #ifndef SEMOPT_DISABLE_TRACING
 
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -17,13 +16,6 @@ namespace internal {
 std::atomic<bool> g_tracing_enabled{false};
 
 thread_local uint64_t tl_query_id = 0;
-
-uint64_t MonotonicNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 }  // namespace internal
 

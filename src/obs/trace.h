@@ -2,6 +2,7 @@
 #define SEMOPT_OBS_TRACE_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -26,6 +27,16 @@
 namespace semopt {
 namespace obs {
 
+/// Monotonic time in nanoseconds (steady_clock): the one clock every
+/// span, phase timer and latency counter reads. Microsecond callers
+/// divide by 1000.
+inline uint64_t MonotonicNowNs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
 #ifndef SEMOPT_DISABLE_TRACING
 
 inline constexpr bool kTracingCompiledIn = true;
@@ -37,9 +48,6 @@ extern std::atomic<bool> g_tracing_enabled;
 /// Thread-local query id; every span/instant recorded while it is
 /// nonzero gets a "qid" arg appended. See QueryIdScope.
 extern thread_local uint64_t tl_query_id;
-
-/// Monotonic time in nanoseconds (steady_clock).
-uint64_t MonotonicNowNs();
 
 struct SpanArg {
   const char* key = nullptr;  // must be a string literal / static storage
@@ -87,12 +95,12 @@ class TraceSpan {
     if (TracingEnabled()) {
       active_ = true;
       name_ = name;
-      start_ns_ = internal::MonotonicNowNs();
+      start_ns_ = MonotonicNowNs();
     }
   }
   ~TraceSpan() {
     if (active_) {
-      internal::RecordComplete(name_, start_ns_, internal::MonotonicNowNs(),
+      internal::RecordComplete(name_, start_ns_, MonotonicNowNs(),
                                args_, num_args_);
     }
   }

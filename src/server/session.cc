@@ -1,7 +1,6 @@
 #include "server/session.h"
 
 #include <cctype>
-#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <set>
@@ -49,13 +48,6 @@ std::vector<std::string> SplitWords(std::string_view s) {
   return words;
 }
 
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 }  // namespace
 
 SessionCommandProcessor::SessionCommandProcessor(DatabaseHost* host)
@@ -70,13 +62,17 @@ Result<IvmStats> DatabaseHost::ApplyUpdate(const std::vector<Atom>& adds,
       ApplyDelta([&](const Database& head) -> Result<DatabaseDelta> {
         std::lock_guard<std::mutex> lock(view_mu_);
         DatabaseDelta delta;
-        if (view_ != nullptr) {
-          SEMOPT_ASSIGN_OR_RETURN(batch, view_->Apply(adds, dels, &delta));
+        if (view_.has_value()) {
+          SEMOPT_ASSIGN_OR_RETURN(
+              batch, view_->ApplyUpdates(adds, dels, nullptr, &delta));
           return delta;
         }
-        SEMOPT_ASSIGN_OR_RETURN(delta, EdbBatchDelta(head, adds, dels));
+        SEMOPT_ASSIGN_OR_RETURN(delta, StageBatch(head, adds, dels));
         batch.batches = 1;
-        CountDelta(delta, &batch.edb_deleted, &batch.edb_inserted);
+        for (const auto& [pred, change] : delta) {
+          batch.edb_deleted += change.erased.size();
+          batch.edb_inserted += change.inserted.size();
+        }
         return delta;
       });
   SEMOPT_RETURN_IF_ERROR(written.status());
@@ -84,21 +80,20 @@ Result<IvmStats> DatabaseHost::ApplyUpdate(const std::vector<Atom>& adds,
 }
 
 Result<size_t> DatabaseHost::Materialize(const Program& program,
-                                         const EvalOptions& options,
-                                         MaterializedView::Mode mode) {
+                                         const EvalOptions& options) {
   size_t tuples = 0;
   // Build and publish inside one write: the initial fixpoint runs
   // against the write clone, so no update batch can slip between the
-  // base snapshot and the published IDB. The generation gets its own
-  // copy of the IDB; later batches publish only their deltas into it.
+  // base snapshot and the published IDB. The view shares the clone's
+  // EDB relations until a batch first writes one.
   Result<uint64_t> written = ApplyWrite([&](Database* db) -> Status {
-    SEMOPT_ASSIGN_OR_RETURN(std::unique_ptr<MaterializedView> view,
-                            MaterializedView::Create(program, *db, options,
-                                                     mode));
-    db->CopyRelationsFrom(view->idb());
-    tuples = view->idb().TotalTuples();
+    SEMOPT_ASSIGN_OR_RETURN(
+        IncrementalEvaluator view,
+        IncrementalEvaluator::Create(program, db->CloneShared(), options));
+    db->CopyRelationsFrom(view.idb());
+    tuples = view.idb().TotalTuples();
     std::lock_guard<std::mutex> lock(view_mu_);
-    view_ = std::move(view);
+    view_.emplace(std::move(view));
     return Status::Ok();
   });
   SEMOPT_RETURN_IF_ERROR(written.status());
@@ -107,20 +102,14 @@ Result<size_t> DatabaseHost::Materialize(const Program& program,
 
 bool DatabaseHost::Dematerialize() {
   std::lock_guard<std::mutex> lock(view_mu_);
-  if (view_ == nullptr) return false;
+  if (!view_.has_value()) return false;
   view_.reset();
   return true;
 }
 
-std::optional<MaterializedView::Mode> DatabaseHost::view_mode() {
+bool DatabaseHost::has_view() {
   std::lock_guard<std::mutex> lock(view_mu_);
-  if (view_ == nullptr) return std::nullopt;
-  return view_->mode();
-}
-
-IvmStats DatabaseHost::view_totals() {
-  std::lock_guard<std::mutex> lock(view_mu_);
-  return view_ == nullptr ? IvmStats() : view_->totals();
+  return view_.has_value();
 }
 
 obs::QueryLog* SessionCommandProcessor::EffectiveQueryLog() {
@@ -165,7 +154,7 @@ std::string SessionCommandProcessor::HandleRetraction(std::string_view text) {
   if (batch->edb_deleted < facts.size()) {
     os << " (" << facts.size() - batch->edb_deleted << " absent)";
   }
-  if (host_->view_mode().has_value()) {
+  if (host_->has_view()) {
     os << "; view: " << batch->ToString();
   }
   return os.str();
@@ -219,7 +208,7 @@ std::string SessionCommandProcessor::HandleQuery(std::string_view body_text) {
 
 std::string SessionCommandProcessor::RunQueryProfiled(
     std::string_view body_text, bool force_metrics) {
-  const uint64_t t_start = NowNs();
+  const uint64_t t_start = obs::MonotonicNowNs();
   obs::QueryProfile profile;
   profile.ctx.query_id = obs::NextQueryId();
   profile.ctx.session_id = session_id_;
@@ -239,7 +228,7 @@ std::string SessionCommandProcessor::RunQueryProfiled(
   // log; the session-level slow_query_us overrides the log's default
   // threshold when set.
   auto finish = [&](std::string out) {
-    profile.total_us = (NowNs() - t_start) / 1000;
+    profile.total_us = (obs::MonotonicNowNs() - t_start) / 1000;
     if (obs::QueryLog* log = EffectiveQueryLog()) {
       const uint64_t threshold = eval_options_.slow_query_us != 0
                                      ? eval_options_.slow_query_us
@@ -252,7 +241,7 @@ std::string SessionCommandProcessor::RunQueryProfiled(
   };
 
   Result<std::vector<Literal>> body = ParseLiteralList(source);
-  profile.parse_us = (NowNs() - t_start) / 1000;
+  profile.parse_us = (obs::MonotonicNowNs() - t_start) / 1000;
   if (!body.ok()) {
     profile.ok = false;
     profile.error = body.status().ToString();
@@ -281,21 +270,21 @@ std::string SessionCommandProcessor::RunQueryProfiled(
     profile.query_class = QueryClassName(cls);
     ticket = host_->scheduler()->Admit(cls, &profile.queue_wait_us);
   }
-  const uint64_t t_pin = NowNs();
+  const uint64_t t_pin = obs::MonotonicNowNs();
   DatabaseSnapshot snap = host_->Snapshot();
-  profile.pin_us = (NowNs() - t_pin) / 1000;
+  profile.pin_us = (obs::MonotonicNowNs() - t_pin) / 1000;
   profile.pinned_epoch = snap.epoch();
 
   EvalOptions query_options = eval_options_;
   query_options.query_id = profile.ctx.query_id;
   if (force_metrics) query_options.collect_metrics = true;
 
-  const uint64_t t_eval = NowNs();
+  const uint64_t t_eval = obs::MonotonicNowNs();
   EvalStats stats;
   Result<QueryResult> result =
       RunQueryPlan(*plan, snap.db(), query_options, &stats);
   last_plan_ = std::move(*plan);
-  profile.eval_us = (NowNs() - t_eval) / 1000;
+  profile.eval_us = (obs::MonotonicNowNs() - t_eval) / 1000;
   // Fold into the process-wide registry so `:stats` aggregates across
   // queries and sessions (per-query cost: a handful of atomic adds).
   stats.PublishTo(obs::MetricsRegistry::Global());
@@ -307,7 +296,7 @@ std::string SessionCommandProcessor::RunQueryProfiled(
   }
   profile.answers = result->size();
 
-  const uint64_t t_render = NowNs();
+  const uint64_t t_render = obs::MonotonicNowNs();
   std::string out;
   if (result->empty()) {
     out = "no answers";
@@ -316,7 +305,7 @@ std::string SessionCommandProcessor::RunQueryProfiled(
     out += std::to_string(result->size());
     out += " answer(s)";
   }
-  profile.render_us = (NowNs() - t_render) / 1000;
+  profile.render_us = (obs::MonotonicNowNs() - t_render) / 1000;
   return finish(std::move(out));
 }
 
@@ -391,10 +380,10 @@ commands:
   .explain pred(consts)    show a proof tree for a derived fact
   ~ pred(consts).          retract a fact (a maintained view updates its
                            IDB incrementally in the same write)
-  .materialize [incremental|recompute|off]
+  .materialize [incremental|off]
                            maintain the program's IDB as base relations,
-                           updated on every fact write (default:
-                           incremental counting/DRed maintenance)
+                           updated incrementally (counting/DRed) in every
+                           fact write; off stops maintaining it
   .load FILE               load a program/fact file
   .loadtsv PRED FILE       load tab-separated tuples into PRED
   :dump FILE               save every relation as a binary snapshot
@@ -424,24 +413,16 @@ std::string SessionCommandProcessor::CmdMaterialize(
                ? "view dropped (published IDB stays as plain facts)"
                : "no materialized view installed";
   }
-  MaterializedView::Mode mode = MaterializedView::Mode::kIncremental;
-  if (!args.empty()) {
-    if (args[0] == "recompute") {
-      mode = MaterializedView::Mode::kRecompute;
-    } else if (args[0] != "incremental") {
-      return "usage: .materialize [incremental|recompute|off]";
-    }
+  if (!args.empty() && args[0] != "incremental") {
+    return "usage: .materialize [incremental|off]";
   }
   if (program_.rules().empty()) {
     return "no rules to materialize (add rules first)";
   }
-  Result<size_t> tuples = host_->Materialize(program_, eval_options_, mode);
+  Result<size_t> tuples = host_->Materialize(program_, eval_options_);
   if (!tuples.ok()) return tuples.status().ToString();
-  return StrCat("materialized ", *tuples, " idb tuple(s) (",
-                mode == MaterializedView::Mode::kIncremental
-                    ? "incremental counting/DRed maintenance"
-                    : "full recompute per write batch",
-                ")");
+  return StrCat("materialized ", *tuples,
+                " idb tuple(s) (incremental counting/DRed maintenance)");
 }
 
 std::string SessionCommandProcessor::CmdProgram() const {

@@ -12,10 +12,10 @@
 
 #include "ast/program.h"
 #include "eval/fixpoint.h"
+#include "eval/incremental.h"
 #include "eval/plan_cache.h"
 #include "magic/query_paths.h"
 #include "obs/query_log.h"
-#include "server/materialized_view.h"
 #include "server/scheduler.h"
 #include "storage/snapshot.h"
 #include "util/result.h"
@@ -67,42 +67,41 @@ class DatabaseHost {
   virtual obs::QueryLog* query_log() { return nullptr; }
 
   /// Applies one mixed update batch — `dels` removed, then `adds`
-  /// inserted — as one delta write, so under a server host the batch
-  /// publishes as one generation at O(|Δ|) cost. When a materialized
-  /// view is installed, the same write also maintains the IDB and
-  /// carries its net change: a reader pinning the next snapshot sees
-  /// base and derived facts move together, with no full recomputation
-  /// on the incremental path. Returns the batch's maintenance stats
-  /// (EDB-only counters when no view is installed).
+  /// inserted, staged by StageBatch — as one delta write, so under a
+  /// server host the batch publishes as one generation at O(|Δ|) cost.
+  /// When a view is installed, the same write also maintains the IDB
+  /// incrementally and carries its net change: a reader pinning the
+  /// next snapshot sees base and derived facts move together. Returns
+  /// the batch's maintenance stats (EDB-only counters when no view is
+  /// installed). A rejected batch publishes nothing.
   Result<IvmStats> ApplyUpdate(const std::vector<Atom>& adds,
                                const std::vector<Atom>& dels);
 
-  /// Installs a materialized view of `program` over the current
-  /// database and publishes a copy of its IDB. Replaces any previous
-  /// view.
+  /// Installs a maintained view of `program` (an IncrementalEvaluator
+  /// over the current database; it accepts whatever Evaluate accepts)
+  /// and publishes a copy of its IDB. Replaces any previous view.
   /// Returns the number of IDB tuples materialized.
   Result<size_t> Materialize(const Program& program,
-                             const EvalOptions& options,
-                             MaterializedView::Mode mode);
+                             const EvalOptions& options);
 
   /// Drops the installed view. The already-published IDB relations
   /// stay in the database as plain facts; they simply stop being
   /// maintained. Returns false if no view was installed.
   bool Dematerialize();
 
-  /// Mode of the installed view, or nullopt when none is installed.
-  std::optional<MaterializedView::Mode> view_mode();
-
-  /// Running maintenance totals of the installed view (zeroes when no
-  /// view is installed).
-  IvmStats view_totals();
+  /// True while a view is installed.
+  bool has_view();
 
  private:
   /// The installed view, guarded by `view_mu_` (hosts are shared by
   /// every session; the write path itself serializes in ApplyWrite,
   /// but Materialize/Dematerialize race with it from other sessions).
+  /// It owns its relations outright: the published generation gets its
+  /// own copy of the IDB once, at Materialize, and afterwards only each
+  /// batch's net delta, so maintenance mutates in place and never pays
+  /// for a relation shared with readers.
   std::mutex view_mu_;
-  std::unique_ptr<MaterializedView> view_;
+  std::optional<IncrementalEvaluator> view_;
 };
 
 /// One session's command interpreter: the parse/dispatch/format logic

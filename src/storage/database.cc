@@ -12,6 +12,19 @@ void RelationDelta::ApplyTo(Relation* rel) const {
   rel->Commit(inserted, /*delta_target=*/nullptr);
 }
 
+Result<Tuple> FactTuple(const Atom& fact) {
+  Tuple tuple;
+  tuple.reserve(fact.args().size());
+  for (const Term& t : fact.args()) {
+    if (!t.IsConstant()) {
+      return Status::InvalidArgument(
+          StrCat("fact ", fact.ToString(), " is not ground"));
+    }
+    tuple.push_back(t);
+  }
+  return tuple;
+}
+
 void Database::DetachIfShared(std::shared_ptr<Relation>* slot) {
   // use_count == 1 means no other database holds this relation; the
   // snapshot path guarantees no concurrent mutator (writers serialize)
@@ -59,15 +72,7 @@ Relation* Database::FindMutable(const PredicateId& pred) {
 }
 
 Status Database::AddFact(const Atom& fact) {
-  Tuple tuple;
-  tuple.reserve(fact.args().size());
-  for (const Term& t : fact.args()) {
-    if (!t.IsConstant()) {
-      return Status::InvalidArgument(
-          StrCat("fact ", fact.ToString(), " is not ground"));
-    }
-    tuple.push_back(t);
-  }
+  SEMOPT_ASSIGN_OR_RETURN(Tuple tuple, FactTuple(fact));
   GetOrCreate(fact.pred_id()).Insert(tuple);
   return Status::Ok();
 }
@@ -117,6 +122,44 @@ void Database::ApplyDelta(const DatabaseDelta& delta) {
   for (const auto& [pred, change] : delta) {
     if (!change.empty()) change.ApplyTo(&GetOrCreate(pred));
   }
+}
+
+Result<DatabaseDelta> StageBatch(const Database& base,
+                                 const std::vector<Atom>& adds,
+                                 const std::vector<Atom>& dels) {
+  // `added` holds every added tuple once; a deletion of one of them is
+  // undone by the insertion that follows it. `erased` holds the present
+  // tuples that stay deleted.
+  std::map<PredicateId, Relation> added, erased;
+  auto side = [](std::map<PredicateId, Relation>* map,
+                 const PredicateId& pred) -> Relation& {
+    return map->try_emplace(pred, pred).first->second;
+  };
+  for (const Atom& fact : adds) {
+    SEMOPT_ASSIGN_OR_RETURN(Tuple tuple, FactTuple(fact));
+    side(&added, fact.pred_id()).Insert(tuple);
+  }
+  for (const Atom& fact : dels) {
+    SEMOPT_ASSIGN_OR_RETURN(Tuple tuple, FactTuple(fact));
+    const Relation* rel = base.Find(fact.pred_id());
+    if (rel == nullptr || !rel->Contains(tuple)) continue;
+    auto it = added.find(fact.pred_id());
+    if (it != added.end() && it->second.Contains(tuple)) continue;
+    side(&erased, fact.pred_id()).Insert(tuple);
+  }
+  DatabaseDelta delta;
+  for (const auto& [pred, rel] : erased) {
+    TupleBuffer& out = delta.try_emplace(pred, pred.arity).first->second.erased;
+    for (RowRef row : rel.rows()) out.Append(row);
+  }
+  for (const auto& [pred, rel] : added) {
+    const Relation* present = base.Find(pred);
+    for (RowRef row : rel.rows()) {
+      if (present != nullptr && present->Contains(row)) continue;
+      delta.try_emplace(pred, pred.arity).first->second.inserted.Append(row);
+    }
+  }
+  return delta;
 }
 
 bool Database::SameFactsAs(const Database& other) const {

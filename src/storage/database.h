@@ -34,6 +34,9 @@ struct RelationDelta {
 /// delta write path publishes and the incremental evaluator reports.
 using DatabaseDelta = std::map<PredicateId, RelationDelta>;
 
+/// The stored tuple of a ground fact; fails on a non-ground argument.
+Result<Tuple> FactTuple(const Atom& fact);
+
 /// A database instance: a set of named relations (typically the EDB; the
 /// evaluation engine materializes IDB relations into a separate Database).
 /// Relations are created on first reference.
@@ -126,6 +129,18 @@ class Database {
 
   std::map<PredicateId, std::shared_ptr<Relation>> relations_;
 };
+
+/// The net change one update batch makes to `base`: `dels` removed
+/// first, then `adds` inserted, with set semantics on both sides —
+/// deleting an absent tuple or inserting a present one is a no-op, and
+/// a tuple in both ends up present. Every fact is converted before
+/// anything is decided, so a non-ground fact fails the whole batch.
+/// Costs O(batch) lookups into `base`. This is the one place a write
+/// batch is staged: the plain write path publishes the result as is,
+/// and the incremental evaluator seeds its maintenance from it.
+Result<DatabaseDelta> StageBatch(const Database& base,
+                                 const std::vector<Atom>& adds,
+                                 const std::vector<Atom>& dels);
 
 }  // namespace semopt
 

@@ -185,6 +185,29 @@ TEST_F(ShellTest, UnknownCommand) {
             std::string::npos);
 }
 
+TEST_F(ShellTest, MaterializeCommandForms) {
+  // Bare and `incremental` both install the one maintained view.
+  for (const char* command : {".materialize", ".materialize incremental"}) {
+    SCOPED_TRACE(command);
+    Shell shell;
+    shell.Execute("t(X, Y) :- e(X, Y).");
+    shell.Execute("e(a, b).");
+    EXPECT_EQ(shell.Execute(command).rfind("materialized 1 idb tuple(s)", 0),
+              0u);
+    EXPECT_EQ(shell.Execute("e(b, c)."), "added 1 fact(s)");
+    EXPECT_EQ(shell.Execute(".db t/2"), "t(a, b).\nt(b, c).");
+    EXPECT_EQ(
+        shell.Execute("~ e(b, c).").rfind("retracted 1 fact(s); view:", 0),
+        0u);
+    EXPECT_EQ(shell.Execute(".db t/2"), "t(a, b).");
+  }
+  shell_.Execute("t(X, Y) :- e(X, Y).");
+  EXPECT_EQ(shell_.Execute(".materialize recompute"),
+            "usage: .materialize [incremental|off]");
+  EXPECT_EQ(shell_.Execute(".materialize off"),
+            "no materialized view installed");
+}
+
 TEST_F(ShellTest, LoadProgramFile) {
   std::string path = ::testing::TempDir() + "/shell_load_test.dl";
   {
